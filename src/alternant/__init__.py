@@ -31,7 +31,6 @@ from .linalg import (
     rank,
     gj_locator,
     expand,
-    prune,
     null_space,
     solve_square,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "element_order", "pull", "poly_gcd",
     "Vec", "Mat", "GJResult", "SingularSystem", "MalformedSyndromeStructure",
     "vandermonde", "hankel_matrix", "gauss_jordan", "rank", "gj_locator",
-    "expand", "prune", "null_space", "solve_square",
+    "expand", "null_space", "solve_square",
     "AlternantCode", "CodeError", "rs", "grs", "prs", "bch", "goppa",
     "Status", "FailureReason", "DecodeReport", "pgz", "pgzm",
     "error_evaluator", "alt_error_evaluator", "forney", "forney_alt",

@@ -114,24 +114,7 @@ class AlternantCode:
         """y @ H^T for a received word y over K (or the extension field)."""
         F = self.ext_field
         y = self._coerce_word(y, allow_ext=True)
-        mul, add = F._mul, F._add
-        out = []
-        if mul is not None:
-            for row in self.H.rows:
-                acc = 0
-                for yc, hc in zip(y.codes, row):
-                    if yc:
-                        acc = add[acc][mul[yc][hc]]
-                out.append(acc)
-        else:
-            mulc, addc = F.mulc, F.addc
-            for row in self.H.rows:
-                acc = 0
-                for yc, hc in zip(y.codes, row):
-                    if yc:
-                        acc = addc(acc, mulc(yc, hc))
-                out.append(acc)
-        return Vec(F, out)
+        return Vec(F, [F.dot(y.codes, row) for row in self.H.rows])
 
     def encode(self, message) -> Vec:
         """message (length k over K) times the generator matrix."""

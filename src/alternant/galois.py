@@ -7,14 +7,19 @@ read as a base-p integer.  Enumeration therefore always starts
 0, 1, ..., p-1 and, for extensions, continues with the generator itself.
 
 Internally every element is carried as its canonical integer code, which
-makes the prime-subfield embedding the identity on codes.  Fields with at
-most 256 elements precompute full addition/multiplication tables; larger
-fields fall back to coordinate arithmetic.
+makes the prime-subfield embedding the identity on codes.  Every field
+builds exp/log tables of a primitive element when it is constructed, and
+they carry all multiplication, inversion and powers.  Addition follows the
+shape of the field: XOR of codes in characteristic 2, integers mod p in a
+prime field, Zech logarithms in an extension of odd characteristic.  Fields
+with at most 256 elements also keep addition, negation and multiplication
+tables derived from these, because a direct lookup is the fastest path.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable, Iterator
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -38,6 +43,15 @@ def _smallest_factor(n: int) -> int:
     return n
 
 
+def _base_p(v: int, p: int, m: int) -> list[int]:
+    """The m lowest base-p digits of v, least significant first."""
+    out = []
+    for _ in range(m):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending."""
     out = []
@@ -53,15 +67,19 @@ class Field:
     """A prime field Z_p or an extension F_{p^m}.
 
     Do not call directly; use prime_field() or extension().  Arithmetic on
-    raw integer codes is exposed through addc/subc/negc/mulc/invc/powc for
-    hot paths; FieldElement wraps a code for operator syntax.  Instances are
-    immutable once built and safe to share.
+    raw integer codes is exposed through addc/subc/negc/mulc/invc/powc and
+    the vector forms dot/addv for hot paths; FieldElement wraps a code for
+    operator syntax.  Instances are immutable once built and safe to share.
+
+    exp[k] is the code of g^k for a primitive element g, the generator when
+    it is primitive, for 0 <= k < 2(q-1), so exp[log[a] + log[b]] needs no
+    reduction; log inverts it on nonzero codes (log[0] is meaningless).
+    Both are arrays of 4-byte integers: 12 MB at q = 2^20.
     """
 
     __slots__ = (
         "p", "m", "q", "modulus_codes", "gen_label", "name",
-        "_add", "_neg", "_mul", "_inv", "_xpow",
-        "_exp", "_log", "_gen_primitive", "_first_primitive_code",
+        "exp", "log", "_zech", "_add", "_neg", "_mul",
         "zero", "one",
     )
 
@@ -73,11 +91,9 @@ class Field:
         self.q = p ** self.m
         self.gen_label = gen_label
         self.name = name or (f"Z{p}" if self.m == 1 else f"F{self.q}")
-        self._xpow = None if self.m == 1 else self._reduction_table()
-        self._add = self._neg = self._mul = self._inv = None
-        self._exp = self._log = None
-        self._gen_primitive = None
-        self._first_primitive_code = None
+        self.exp, self.log = self._power_tables()
+        self._zech = self._zech_table() if p > 2 and self.m > 1 else None
+        self._add = self._neg = self._mul = None
         if self.q <= _TABLE_MAX:
             self._build_tables()
         self.zero = FieldElement(self, 0)
@@ -85,27 +101,90 @@ class Field:
 
     # -- construction helpers -------------------------------------------------
 
-    def _reduction_table(self) -> tuple[tuple[int, ...], ...]:
-        """Coordinates of X^m .. X^(2m-2) modulo the field modulus."""
-        p, m, f = self.p, self.m, self.modulus_codes
-        top = [(-f[i]) % p for i in range(m)]  # X^m = -(f_0 + f_1 X + ...)
-        rows = [tuple(top)]
-        cur = top
-        for _ in range(m - 2):
-            shifted = [0] + cur[:-1]
-            carry = cur[-1]
-            nxt = [(shifted[i] + carry * top[i]) % p for i in range(m)]
-            rows.append(tuple(nxt))
-            cur = nxt
-        return tuple(rows)
+    def _power_tables(self) -> tuple[array, array]:
+        """exp/log of the generator if it is primitive, else of the first primitive b.
 
-    def _digits(self, code: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            code, d = divmod(code, p)
-            out.append(d)
-        return out
+        step[c] is the code of x*c, x being the generator of an extension or
+        the first primitive root of a prime field.  If x has order n/d, then
+        x = b^s with gcd(s, n) = d, and walking step from b^i (i < d) visits
+        b^i x^j, whose log is i + s*j mod n: one table step per entry.
+        """
+        p, m, q, n = self.p, self.m, self.q, self.q - 1
+        primes = _prime_factors(n)
+        reps, s = [1], 1
+        if m == 1:
+            x = next(c for c in range(1, q) if all(pow(c, n // f, p) != 1 for f in primes))
+            step = array("i", [c * x % p for c in range(q)])
+        else:
+            step = self._times_x_table()
+
+            def mul(a: int, b: int) -> int:  # from the digits of b and shifts of a
+                acc = [0] * m
+                for bj in self.coords_code(b):
+                    acc = [(u + bj * v) % p for u, v in zip(acc, self.coords_code(a))]
+                    a = step[a]
+                return self._encode(acc)
+
+            def power(a: int, e: int) -> int:
+                return 1 if e == 0 else mul(power(mul(a, a), e >> 1), a if e & 1 else 1)
+
+            n_x = n  # the order of x
+            for f in primes:
+                while n_x % f == 0 and power(p, n_x // f) == 1:
+                    n_x //= f
+            if n_x < n:
+                # constants have order dividing p - 1 < n, and x is not primitive
+                b = next(c for c in range(p + 1, q)
+                         if all(power(c, n // f) != 1 for f in primes))
+                while len(reps) <= n // n_x:
+                    reps.append(mul(reps[-1], b))
+                # b^d = x^j lies in <x>, so x = b^(d u) with u = j^-1 mod n_x
+                bd, c, j = reps.pop(), 1, 0
+                while c != bd:
+                    c, j = step[c], j + 1
+                s = n // n_x * pow(j, -1, n_x)
+        exp, log = array("i", bytes(4 * n)), array("i", bytes(4 * q))
+        for i, c in enumerate(reps):
+            k = i
+            for _ in range(n // len(reps)):
+                exp[k], log[c] = c, k
+                c, k = step[c], (k + s) % n
+        return exp * 2, log
+
+    def _times_x_table(self) -> array:
+        """Code of X*c for every code c, built one digit position at a time."""
+        p, m = self.p, self.m
+        xm = [(-f) % p for f in self.modulus_codes[:m]]  # X^m = -(f_0 + f_1 X + ...)
+        table = array("i")
+        for top in range(p):
+            # X * (lo + top X^(m-1)) = X*lo + top X^m: shift the digits of lo
+            # up by one and add top*xm digit by digit, for every lo at once
+            s = [top * c % p for c in xm]
+            row = array("i", [s[0]])
+            for i in range(1, m):
+                w = p ** i
+                row = array("i", (r + (d + s[i]) % p * w for d in range(p) for r in row))
+            table.extend(row)
+        return table
+
+    def _zech_table(self) -> array:
+        """zech[k] = log(1 + g^k), or 0 where 1 + g^k = 0 (log 1 = 0 is never a Zech value)."""
+        p, log = self.p, self.log
+        # 1 + c only increments the constant digit of c
+        return array("i", (log[c + 1 if c % p != p - 1 else c + 1 - p]
+                           for c in self.exp[:self.q - 1]))
+
+    def _build_tables(self):
+        """q x q lookup tables from exp/log; add and neg go through the ops while unset."""
+        r, exp, logs = range(self.q), self.exp, self.log[1:]
+        add = [[self.addc(a, b) for b in r] for a in r]
+        neg = [self.negc(a) for a in r]
+        mul = [[0] * self.q] + [[0] + [exp[i + j] for j in logs] for i in logs]
+        self._add, self._neg, self._mul = add, neg, mul
+
+    def coords_code(self, code: int) -> list[int]:
+        """Coordinates of a code over the prime subfield, constant first."""
+        return _base_p(code, self.p, self.m)
 
     def _encode(self, digits: Iterable[int]) -> int:
         code = 0
@@ -113,134 +192,82 @@ class Field:
             code = code * self.p + d
         return code
 
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._encode((x + y) % self.p for x, y in zip(da, db))
-
-    def _neg_raw(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        return self._encode((-x) % self.p for x in self._digits(a))
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p = self.p
-        if self.m == 1:
-            return a * b % p
-        m = self.m
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for d in range(2 * m - 2, m - 1, -1):
-            c = prod[d]
-            if c:
-                row = self._xpow[d - m]
-                for i in range(m):
-                    prod[i] = (prod[i] + c * row[i]) % p
-        return self._encode(prod[:m])
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
-    def _build_tables(self):
-        p, q = self.p, self.q
-        if self.m == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._neg = [(-a) % p for a in range(p)]
-            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
-            self._inv = [0] + [pow(a, -1, p) for a in range(1, p)]
-            return
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._neg_raw(a) for a in range(q)]
-        exp, log, base = self._find_power_tables()
-        self._exp, self._log = exp, log
-        self._gen_primitive = (base == p)
-        mul = [[0] * q for _ in range(q)]
-        n = q - 1
-        for a in range(1, q):
-            la = log[a]
-            rowm = mul[a]
-            for b in range(1, q):
-                rowm[b] = exp[(la + log[b]) % n]
-        self._mul = mul
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = exp[(n - log[a]) % n]
-        self._inv = inv
-
-    def _find_power_tables(self):
-        """Exp/log tables for some primitive element, preferring the generator."""
-        q = self.q
-        if self.m == 1:
-            candidates = list(range(1, q))
-        else:
-            candidates = [self.p] + [c for c in range(1, q) if c != self.p]
-        for base in candidates:
-            exp = [1]
-            cur = 1
-            for _ in range(q - 1):
-                cur = self._mul_raw(cur, base)
-                if cur == 1:
-                    break
-                exp.append(cur)
-            if len(exp) == q - 1:
-                log = [0] * q
-                for k, c in enumerate(exp):
-                    log[c] = k
-                if self._first_primitive_code is None:
-                    self._first_primitive_code = min(
-                        c for c in range(1, q)
-                        if (q - 1) // math.gcd(q - 1, log[c]) == q - 1
-                    ) if base == self.p else base
-                return exp, log, base
-        raise AssertionError(f"no primitive element found in {self.name}")
-
     # -- integer-code arithmetic ----------------------------------------------
 
     def addc(self, a: int, b: int) -> int:
         t = self._add
-        return t[a][b] if t is not None else self._add_raw(a, b)
+        if t is not None:
+            return t[a][b]
+        if self.p == 2:
+            return a ^ b
+        if self.m == 1:
+            return (a + b) % self.p
+        if not a or not b:
+            return a or b
+        # a + b = a (1 + g^(lb - la)); a negative index wraps mod q - 1
+        log = self.log
+        z = self._zech[log[b] - log[a]]
+        return self.exp[log[a] + z] if z else 0
 
     def negc(self, a: int) -> int:
         t = self._neg
-        return t[a] if t is not None else self._neg_raw(a)
+        if t is not None:
+            return t[a]
+        if self.p == 2 or not a:
+            return a
+        if self.m == 1:
+            return self.p - a
+        return self.exp[self.log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def subc(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][self._neg[b]]
-        return self._add_raw(a, self._neg_raw(b))
+        t = self._add
+        if t is not None:
+            return t[a][self._neg[b]]
+        return self.addc(a, self.negc(b))
 
     def mulc(self, a: int, b: int) -> int:
         t = self._mul
-        return t[a][b] if t is not None else self._mul_raw(a, b)
+        if t is not None:
+            return t[a][b]
+        if a and b:
+            log = self.log
+            return self.exp[log[a] + log[b]]
+        return 0
 
     def invc(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        if self._inv is not None:
-            return self._inv[a]
-        if self.m == 1:
-            return pow(a, -1, self.p)
-        return self._pow_raw(a, self.q - 2)
+        return self.exp[self.q - 1 - self.log[a]]
 
     def powc(self, a: int, e: int) -> int:
-        if e < 0:
-            return self._pow_raw(self.invc(a), -e)
         if a == 0:
-            return 1 if e == 0 else 0
-        if self._exp is not None and self._log is not None:
-            return self._exp[self._log[a] * e % (self.q - 1)]
-        return self._pow_raw(a, e)
+            if e < 0:
+                raise ZeroDivisionError(f"division by zero in {self.name}")
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
+
+    def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
+        """Sum of the products of paired codes."""
+        acc = 0
+        add, mul = self._add, self._mul
+        if mul is not None:
+            for x, y in zip(xs, ys):
+                if x:
+                    acc = add[acc][mul[x][y]]
+            return acc
+        addc, exp, log = self.addc, self.exp, self.log
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = addc(acc, exp[log[x] + log[y]])
+        return acc
+
+    def addv(self, xs: Iterable[int], ys: Iterable[int]) -> tuple[int, ...]:
+        """Coordinatewise sum of two code vectors."""
+        t = self._add
+        if t is not None:
+            return tuple([t[a][b] for a, b in zip(xs, ys)])
+        addc = self.addc
+        return tuple([addc(a, b) for a, b in zip(xs, ys)])
 
     # -- element-level API ----------------------------------------------------
 
@@ -305,28 +332,18 @@ class Field:
         raise ValueError(f"bad element token {s!r} for {self.name}")
 
     def format_code(self, code: int) -> str:
-        if self.m == 1:
+        if self.m == 1 or code < self.p:
             return str(code)
-        if code < self.p:
-            return str(code)
-        if self._gen_primitive:
+        if self.exp[1] == self.p:  # the generator is the exp base, so it is primitive
             k = self.log_code(code)
             return self.gen_label if k == 1 else f"{self.gen_label}**{k}"
-        return "[" + ", ".join(str(c) for c in self._digits(code)) + "]"
+        return "[" + ", ".join(str(c) for c in self.coords_code(code)) + "]"
 
     def log_code(self, code: int) -> int:
         """Discrete log of a nonzero code relative to the exp-table base."""
         if code == 0:
             raise ZeroDivisionError(f"zero has no discrete log in {self.name}")
-        self._ensure_power_tables()
-        return self._log[code]
-
-    def _ensure_power_tables(self):
-        if self._log is None:
-            exp, log, base = self._find_power_tables()
-            self._exp, self._log = exp, log
-            if self._gen_primitive is None:
-                self._gen_primitive = (self.m > 1 and base == self.p)
+        return self.log[code]
 
     @property
     def gen(self) -> "FieldElement":
@@ -351,14 +368,8 @@ class Field:
 
     def first_primitive(self) -> "FieldElement":
         """First primitive element in canonical enumeration order."""
-        if self._first_primitive_code is None:
-            n = self.q - 1
-            primes = _prime_factors(n)
-            for c in range(1, self.q):
-                if all(self._pow_raw(c, n // f) != 1 for f in primes):
-                    self._first_primitive_code = c
-                    break
-        return FieldElement(self, self._first_primitive_code)
+        n, log = self.q - 1, self.log
+        return FieldElement(self, next(c for c in range(1, self.q) if math.gcd(log[c], n) == 1))
 
     def poly(self, coeffs) -> "Poly":
         """Polynomial from an ascending coefficient list (ints/strings/elements)."""
@@ -380,10 +391,11 @@ class Field:
             return True
         if not isinstance(other, Field):
             return NotImplemented
-        return self.p == other.p and self.modulus_codes == other.modulus_codes
+        return (self.p == other.p and self.modulus_codes == other.modulus_codes
+                and self.gen_label == other.gen_label)
 
     def __hash__(self):
-        return hash((self.p, self.modulus_codes))
+        return hash((self.p, self.modulus_codes, self.gen_label))
 
     def __repr__(self):
         return self.name
@@ -407,7 +419,7 @@ class FieldElement:
     @property
     def coords(self) -> tuple[int, ...]:
         """Coordinates over the prime subfield, constant coordinate first."""
-        return tuple(self.field._digits(self.code))
+        return tuple(self.field.coords_code(self.code))
 
     @property
     def is_zero(self) -> bool:
@@ -558,12 +570,7 @@ def get_irreducible_polynomial(K: Field, m: int) -> "Poly":
         return K.poly([0, 1])
     p = K.p
     for idx in range(p ** m):
-        coeffs = []
-        v = idx
-        for _ in range(m):
-            v, d = divmod(v, p)
-            coeffs.append(d)
-        f = Poly(K, tuple(coeffs) + (1,))
+        f = Poly(K, tuple(_base_p(idx, p, m)) + (1,))
         if _find_monic_factor(f) is None:
             return f
     raise AssertionError(f"no irreducible of degree {m} over {K.name}")
@@ -579,12 +586,7 @@ def _find_monic_factor(f: "Poly"):
     deg = f.degree
     for d in range(1, deg // 2 + 1):
         for idx in range(p ** d):
-            coeffs = []
-            v = idx
-            for _ in range(d):
-                v, c = divmod(v, p)
-                coeffs.append(c)
-            g = Poly(K, tuple(coeffs) + (1,))
+            g = Poly(K, tuple(_base_p(idx, p, d)) + (1,))
             if (f % g).is_zero:
                 return g
     return None
@@ -594,12 +596,8 @@ def element_order(x: FieldElement) -> int:
     """Multiplicative order of a nonzero field element."""
     if x.code == 0:
         raise ZeroDivisionError("zero has no multiplicative order")
-    F = x.field
-    n = F.q - 1
-    for f in _prime_factors(n):
-        while n % f == 0 and F.powc(x.code, n // f) == 1:
-            n //= f
-    return n
+    n = x.field.q - 1
+    return n // math.gcd(x.field.log[x.code], n)
 
 
 def pull(x: FieldElement, K: Field) -> FieldElement | None:

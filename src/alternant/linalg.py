@@ -343,33 +343,10 @@ def expand(M: Mat, K: Field) -> Mat:
     m = F.m
     out = []
     for row in M.rows:
-        coords = [F._digits(c) for c in row]
+        coords = [F.coords_code(c) for c in row]
         for k in range(m):
             out.append([d[k] for d in coords])
     return Mat(K, out, ncols=M.ncols)
-
-
-def prune(M: Mat) -> Mat:
-    """Keep exactly the rows that strictly increase the rank, scanning top-down."""
-    F = M.field
-    mulc, subc, invc = F.mulc, F.subc, F.invc
-    basis = []  # rows in echelon form, each paired with its pivot column
-    kept = []
-    for row in M.rows:
-        work = list(row)
-        for prow, pc in basis:
-            if work[pc]:
-                f = work[pc]
-                work = [subc(v, mulc(f, pv)) for v, pv in zip(work, prow)]
-        pc = next((j for j, v in enumerate(work) if v), None)
-        if pc is None:
-            continue
-        inv = invc(work[pc])
-        if inv != 1:
-            work = [mulc(inv, v) for v in work]
-        basis.append((work, pc))
-        kept.append(row)
-    return Mat(F, kept, ncols=M.ncols)
 
 
 def null_space(M: Mat) -> Mat:

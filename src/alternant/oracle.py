@@ -81,8 +81,7 @@ def brute_force_decode(C: AlternantCode, y, t_max: int,
         contrib.append([None] + [tuple(F.mulc(v, hc) for hc in col)
                                  for v in range(1, K.q)])
 
-    add_t = F._add
-    addc = F.addc
+    addv = F.addv
     zero = (0,) * r
     deadline = time.monotonic() + budget.max_seconds
 
@@ -103,13 +102,8 @@ def brute_force_decode(C: AlternantCode, y, t_max: int,
                     return
                 per_value = contrib[pos[depth]]
                 for v in range(1, qm1 + 1):
-                    cv = per_value[v]
-                    if add_t is not None:
-                        nxt = tuple(add_t[a][b] for a, b in zip(acc, cv))
-                    else:
-                        nxt = tuple(addc(a, b) for a, b in zip(acc, cv))
                     vals[depth] = v
-                    walk(depth + 1, nxt)
+                    walk(depth + 1, addv(acc, per_value[v]))
 
             walk(0, zero)
             if len(found) > 1:

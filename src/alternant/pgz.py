@@ -19,7 +19,7 @@ distance t of the input.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 
 from .galois import Field, FieldElement, Poly, pull
@@ -64,7 +64,6 @@ class DecodeReport:
     evaluator_poly: Poly | None = None
     hankel: Mat | None = None
     corrected: Vec | None = None
-    extras: dict = dc_field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

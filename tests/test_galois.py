@@ -5,9 +5,15 @@ random sampling elsewhere.  Irreducibility results are cross-checked with a
 Frobenius-based test that shares no code with the library's trial division.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import alternant
 
 from alternant.galois import (
     NEG_INF,
@@ -27,6 +33,16 @@ Z13 = prime_field(13)
 F25, gen25 = extension(Z5, [3, 0, 1], gen_label="x")
 F32, gen32 = extension(Z2, [1, 0, 1, 0, 0, 1])
 F243, gen243 = extension(Z3, [1, 2, 0, 0, 0, 1])
+
+# Fields above the 256-element table limit: exp/log (and Zech for odd p) only.
+F512_MODULUS = [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]  # x^9 + x^4 + 1, X primitive
+LARGE = [
+    pytest.param(extension(Z2, F512_MODULUS)[0], id="F512"),
+    pytest.param(extension(Z2, [1, 1, 0, 0, 0, 0, 0, 0, 0, 1])[0], id="F512-x73"),
+    pytest.param(extension(Z3, [2, 1, 0, 0, 0, 0, 1])[0], id="F729"),
+    pytest.param(extension(Z3, [2, 0, 1, 0, 0, 0, 0, 1])[0], id="F2187-x1093"),
+    pytest.param(prime_field(257), id="Z257"),
+]
 
 
 # -- prime fields -------------------------------------------------------------
@@ -78,7 +94,7 @@ def test_field_axioms_exhaustive(F):
         F.invc(0)
 
 
-@pytest.mark.parametrize("F", [F25, F32, F243], ids=lambda f: f.name)
+@pytest.mark.parametrize("F", [F25, F32, F243, *LARGE], ids=lambda f: f.name)
 def test_frobenius(F):
     rng = random.Random(5)
     p = F.p
@@ -86,6 +102,66 @@ def test_frobenius(F):
         x = F.element([rng.randrange(p) for _ in range(F.m)])
         y = F.element([rng.randrange(p) for _ in range(F.m)])
         assert (x + y) ** p == x ** p + y ** p
+
+
+def _reference(F):
+    """Ring operations on codes by coordinate polynomials over Z_p, reduced % F.modulus."""
+    p, m = F.p, F.m
+    if m == 1:
+        return (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+    Zp, f = prime_field(p), F.modulus
+
+    def poly(code):
+        return Zp.poly([code // p ** i % p for i in range(m)])
+
+    def code(g):
+        return sum(c * p ** i for i, c in enumerate(g.codes))
+
+    return (lambda a, b: code(poly(a) + poly(b))), (lambda a, b: code(poly(a) * poly(b) % f))
+
+
+@pytest.mark.parametrize("F", LARGE)
+def test_arithmetic_matches_coordinate_reference(F):
+    add, mul = _reference(F)
+    rng = random.Random(2024)
+    for _ in range(300):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.addc(a, b) == add(a, b)
+        assert F.mulc(a, b) == mul(a, b)
+        assert add(F.negc(b), b) == 0
+        assert add(F.subc(a, b), b) == a
+        if a:
+            assert mul(a, F.invc(a)) == 1
+        e = rng.randrange(-2 * F.q, 2 * F.q)
+        ref, base, k = 1, a, abs(e)  # a^|e| by square and multiply
+        while k:
+            ref, base, k = mul(ref, base) if k & 1 else ref, mul(base, base), k >> 1
+        if e >= 0:
+            assert F.powc(a, e) == ref
+        elif a:
+            assert mul(F.powc(a, e), ref) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.powc(0, -1)
+    xs = [0] + [rng.randrange(F.q) for _ in range(20)]
+    ys = [rng.randrange(F.q) for _ in range(20)] + [0]
+    ref = 0
+    for x, y in zip(xs, ys):
+        ref = add(ref, mul(x, y))
+    assert F.dot(xs, ys) == ref
+    assert F.addv(xs, ys) == tuple(add(x, y) for x, y in zip(xs, ys))
+
+
+def test_printing_does_not_depend_on_call_history():
+    # a fresh interpreter, so no field built earlier in this process can help
+    code = ("from alternant.galois import extension, prime_field\n"
+            f"F, a = extension(prime_field(2), {F512_MODULUS})\n"
+            "print(a ** 5)\n")
+    env = dict(os.environ)
+    src = str(Path(alternant.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "a**5\n"
 
 
 # -- element order ------------------------------------------------------------
@@ -181,6 +257,17 @@ def test_extension_examples():
     assert F243.name == "F243"
 
 
+def test_generator_label_is_part_of_field_identity():
+    Fa, a = extension(Z2, [1, 1, 0, 1], "a")
+    Fb, b = extension(Z2, [1, 1, 0, 1], "b")
+    assert Fa is extension(Z2, [1, 1, 0, 1], "a")[0]
+    assert Fa != Fb and len({Fa, Fb}) == 2
+    with pytest.raises(TypeError, match="mixed fields"):
+        a + b
+    with pytest.raises(TypeError):
+        Fa.element(b)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError) as ei:
         extension(Z2, [1, 0, 1])  # X^2 + 1 = (X+1)^2
@@ -248,7 +335,7 @@ def test_element_parsing_errors():
         F25.element(2.5)
 
 
-@pytest.mark.parametrize("F", [Z13, F25, F32], ids=lambda f: f.name)
+@pytest.mark.parametrize("F", [Z13, F25, F32, *LARGE], ids=lambda f: f.name)
 def test_format_roundtrip(F):
     for code in range(F.q):
         s = F.format_code(code)

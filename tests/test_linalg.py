@@ -21,7 +21,6 @@ from alternant.linalg import (
     gj_locator,
     hankel_matrix,
     null_space,
-    prune,
     rank,
     solve_square,
     vandermonde,
@@ -280,16 +279,7 @@ def test_expand_shape_and_kernel():
         expand(M, Z13)
 
 
-# -- prune and null space -----------------------------------------------------
-
-def test_prune():
-    M = Mat.of(Z13, [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
-    P = prune(M)
-    assert P == Mat.of(Z13, [[1, 2, 3], [0, 1, 1]])
-    assert rank(P) == rank(M) == P.nrows
-    assert prune(P) == P
-    assert prune(Mat.of(Z13, [[0, 0]])).shape == (0, 2)
-
+# -- null space ---------------------------------------------------------------
 
 def test_null_space_properties():
     rng = random.Random(31)
