@@ -250,10 +250,10 @@ def goppa(g: Poly, a: Vec) -> AlternantCode:
         raise CodeError(f"Goppa polynomial must have degree >= 1, got {g}")
     h = []
     for i, c in enumerate(a.codes):
-        v = g(FieldElement(F, c))
-        if v.is_zero:
+        v = g.at(c)
+        if v == 0:
             raise CodeError(f"g vanishes at support entry {i} ({F.format_code(c)})")
-        h.append(F.invc(v.code))
+        h.append(F.invc(v))
     params: dict = {"g": str(g)}
     if F.p == 2:
         gp = g.derivative()

@@ -31,6 +31,7 @@ import json
 import os
 
 from .galois import Field, Poly, prime_field, extension, get_irreducible_polynomial
+from .linalg import Vec
 from .codes import AlternantCode, rs, grs, prs, bch, goppa
 
 
@@ -158,8 +159,7 @@ def code_from_dict(desc) -> AlternantCode:
         if raw_a == "all-nonroots":
             # support elements must be invertible, so zero is skipped even
             # when it is not a root of g
-            a = F.vec([x for x in F.elements()
-                       if x.code != 0 and g(x).code != 0])
+            a = Vec(F, [c for c in range(1, F.q) if g.at(c)])
         else:
             a = F.vec(_elements(F, raw_a, "a"))
         return goppa(g, a)

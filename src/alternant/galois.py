@@ -84,13 +84,13 @@ class Field:
     )
 
     def __init__(self, p: int, modulus_codes: tuple[int, ...] | None = None,
-                 gen_label: str = "a", name: str | None = None):
+                 gen_label: str = "a"):
         self.p = p
         self.modulus_codes = modulus_codes
         self.m = 1 if modulus_codes is None else len(modulus_codes) - 1
         self.q = p ** self.m
         self.gen_label = gen_label
-        self.name = name or (f"Z{p}" if self.m == 1 else f"F{self.q}")
+        self.name = f"Z{p}" if self.m == 1 else f"F{self.q}"
         self.exp, self.log = self._power_tables()
         self._zech = self._zech_table() if p > 2 and self.m > 1 else None
         self._add = self._neg = self._mul = None
@@ -380,10 +380,6 @@ class Field:
         from .linalg import Vec
         return Vec.of(self, items)
 
-    def mat(self, rows) -> "Mat":
-        from .linalg import Mat
-        return Mat.of(self, rows)
-
     # -- dunder ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -524,8 +520,7 @@ def prime_field(p: int) -> Field:
     return _FIELDS[key]
 
 
-def extension(K: Field, modulus, gen_label: str = "a",
-              name: str | None = None) -> tuple[Field, FieldElement]:
+def extension(K: Field, modulus, gen_label: str = "a") -> tuple[Field, FieldElement]:
     """Extension of a prime field by a monic irreducible modulus.
 
     modulus is a Poly over K or an ascending coefficient list.  Returns the
@@ -551,7 +546,7 @@ def extension(K: Field, modulus, gen_label: str = "a",
         raise ValueError(f"modulus {f} is reducible: divisible by {factor}")
     key = (K.p, f.codes, gen_label)
     if key not in _FIELDS:
-        _FIELDS[key] = Field(K.p, f.codes, gen_label=gen_label, name=name)
+        _FIELDS[key] = Field(K.p, f.codes, gen_label=gen_label)
     F = _FIELDS[key]
     return F, F.gen
 
@@ -643,9 +638,6 @@ class Poly:
     def coeff(self, i: int) -> FieldElement:
         code = self.codes[i] if 0 <= i < len(self.codes) else 0
         return FieldElement(self.field, code)
-
-    def coefficients(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, c) for c in self.codes)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -751,15 +743,18 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __call__(self, x) -> FieldElement:
-        """Evaluate by Horner's rule."""
+    def at(self, x: int) -> int:
+        """Code of the value at the element with code x, by Horner's rule."""
         F = self.field
-        xc = F.element(x).code
         acc = 0
         mulc, addc = F.mulc, F.addc
         for c in reversed(self.codes):
-            acc = addc(mulc(acc, xc), c)
-        return FieldElement(F, acc)
+            acc = addc(mulc(acc, x), c)
+        return acc
+
+    def __call__(self, x) -> FieldElement:
+        """Value at x, which may be anything Field.element accepts."""
+        return FieldElement(self.field, self.at(self.field.element(x).code))
 
     def derivative(self) -> "Poly":
         F = self.field

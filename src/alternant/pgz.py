@@ -1,6 +1,6 @@
 """Peterson-Gorenstein-Zierler decoding of alternant codes.
 
-Both decoders share the syndrome/locator stages:
+pgz and pgzm run one pipeline and differ only in the value stage:
 
   1. s = y @ H^T; an all-zero syndrome means y is already a codeword.
   2. S = the t x (t+1) Hankel matrix of s_0..s_{2t-1}; its rank l is the
@@ -8,12 +8,19 @@ Both decoders share the syndrome/locator stages:
      coefficients for free (gj_locator).
   3. L(z) = z^l + a_1 z^(l-1) + ... + a_l; its roots among the support
      entries give the error positions.
+  4. The error values: pgz takes the error-evaluator polynomial and
+     Forney's formula, pgzm solves the l x l linear system in them.
+  5. The correction is checked by recomputing its full syndrome, so a
+     Corrected result is always a genuine codeword within distance t of
+     the input.
 
-pgz finishes with the error-evaluator polynomial and Forney's formula;
-pgzm instead solves the l x l linear system in the error values directly.
-Either way the candidate correction is only reported once its syndrome
-checks out, so a Corrected result is always a genuine codeword within
-distance t of the input.
+Past a nonzero syndrome the decoder holds one report, born a Failure, and
+fills in hankel, l, locator_poly, positions and locators as each stage
+finishes.  A failing check stops the pipeline there: the report names the
+reason and keeps the stages before it.  Values, the evaluator polynomial
+and the corrected word are filled in only once the final check passes.
+Points are evaluated on raw integer codes (Poly.at); FieldElements are
+built only for what the report holds.
 """
 
 from __future__ import annotations
@@ -96,8 +103,8 @@ def forney(m: int, C: AlternantCode, E: Poly, locator_reciprocal: Poly) -> Field
     F = C.ext_field
     am = C.alpha.codes[m]
     x = F.invc(am)
-    num = F.mulc(am, E(FieldElement(F, x)).code)
-    den = F.mulc(C.h.codes[m], locator_reciprocal.derivative()(FieldElement(F, x)).code)
+    num = F.mulc(am, E.at(x))
+    den = F.mulc(C.h.codes[m], locator_reciprocal.derivative().at(x))
     return FieldElement(F, F.negc(F.mulc(num, F.invc(den))))
 
 
@@ -108,9 +115,8 @@ def forney_alt(m: int, C: AlternantCode, E_star: Poly, locator: Poly) -> FieldEl
     """
     F = C.ext_field
     am = C.alpha.codes[m]
-    num = E_star(FieldElement(F, am)).code
-    den = F.mulc(C.h.codes[m],
-                 F.mulc(F.powc(am, C.r), locator.derivative()(FieldElement(F, am)).code))
+    num = E_star.at(am)
+    den = F.mulc(C.h.codes[m], F.mulc(F.powc(am, C.r), locator.derivative().at(am)))
     return FieldElement(F, F.negc(F.mulc(num, F.invc(den))))
 
 
@@ -120,16 +126,12 @@ def alt_error_evaluator(s: Vec, locator: Poly) -> Poly:
     sigma_rev = Poly(F, tuple(reversed(s.codes)))
     return (locator * sigma_rev).truncated(len(s))
 
+
 def locate(L: Poly, alphas: Vec) -> tuple[tuple[int, ...], tuple[FieldElement, ...]]:
     """Positions (ascending) and values of L's roots among the support entries."""
-    F = alphas.field
-    positions = []
-    locators = []
-    for i, c in enumerate(alphas.codes):
-        if L(FieldElement(F, c)).code == 0:
-            positions.append(i)
-            locators.append(FieldElement(F, c))
-    return tuple(positions), tuple(locators)
+    at = L.at
+    positions = tuple(i for i, c in enumerate(alphas.codes) if at(c) == 0)
+    return positions, tuple(alphas[i] for i in positions)
 
 
 def random_error_vector(K: Field, n: int, w: int, rng) -> Vec:
@@ -179,75 +181,62 @@ def _decode(y, C: AlternantCode, alg: str) -> DecodeReport:
         return DecodeReport(alg, Status.NO_ERROR, s, message=f"{alg}: Input is a code vector",
                             corrected=y)
 
+    rep = DecodeReport(alg, Status.FAILURE, s)
     if C.t == 0:
-        return _failure(alg, s, FailureReason.DEFECTIVE_ERROR_LOCATION,
-                        f"{alg}: Defective error location")
-
-    S = hankel_matrix(s, C.t)
+        return _fail(rep, FailureReason.DEFECTIVE_ERROR_LOCATION)
+    rep.hankel = S = hankel_matrix(s, C.t)
     try:
         neg_rev = gj_locator(S)
     except MalformedSyndromeStructure:
-        return _failure(alg, s, FailureReason.MALFORMED_SYNDROME_STRUCTURE,
-                        f"{alg}: Malformed syndrome structure", S)
-    l = len(neg_rev)
+        return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)
+    rep.l = l = len(neg_rev)
     # column l of the reduced Hankel matrix reads (-a_l, ..., -a_1); negating
     # gives the locator's ascending coefficients below the leading 1.
-    L = Poly(F, tuple(F.negc(c) for c in neg_rev.codes) + (1,))
-    positions, locators = locate(L, C.alpha)
+    rep.locator_poly = L = Poly(F, tuple(F.negc(c) for c in neg_rev.codes) + (1,))
+    rep.positions, rep.locators = positions, locators = locate(L, C.alpha)
     if len(positions) < l:
-        return _failure(alg, s, FailureReason.DEFECTIVE_ERROR_LOCATION,
-                        f"{alg}: Defective error location", S,
-                        l=l, locator_poly=L, positions=positions, locators=locators)
+        return _fail(rep, FailureReason.DEFECTIVE_ERROR_LOCATION)
 
     if alg == "PGZ":
-        sigma = Poly(F, s.codes)
         L_rec = L.reciprocal()
-        E = error_evaluator(sigma, L_rec, C.r)
+        E = error_evaluator(Poly(F, s.codes), L_rec, C.r)
         ext_values = [forney(m, C, E, L_rec) for m in positions]
     else:
+        E = None
         A = Mat(F, ((F.mulc(C.h.codes[m], F.powc(eta.code, i)) for m, eta in
                      zip(positions, locators)) for i in range(l)))
         try:
-            sol = solve_square(A, s[:l])
+            ext_values = solve_square(A, s[:l])
         except SingularSystem:
-            return _failure(alg, s, FailureReason.MALFORMED_SYNDROME_STRUCTURE,
-                            f"{alg}: Malformed syndrome structure", S,
-                            l=l, locator_poly=L, positions=positions, locators=locators)
-        E = None
-        ext_values = list(sol)
+            return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)
 
-    values = []
-    for v in ext_values:
-        vk = pull(v, K)
-        if vk is None:
-            # both decoders deliberately share this exact message text,
-            # including the PGZ prefix.
-            return _failure(alg, s, FailureReason.VALUE_NOT_IN_BASE_FIELD,
-                            "PGZ: error value not in base field", S,
-                            l=l, locator_poly=L, positions=positions, locators=locators)
-        values.append(vk)
+    values = [pull(v, K) for v in ext_values]
+    if any(v is None for v in values):
+        return _fail(rep, FailureReason.VALUE_NOT_IN_BASE_FIELD)
     if any(v.is_zero for v in values):
-        return _failure(alg, s, FailureReason.MALFORMED_SYNDROME_STRUCTURE,
-                        f"{alg}: Malformed syndrome structure", S,
-                        l=l, locator_poly=L, positions=positions, locators=locators)
+        return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)
 
     corrected_codes = list(y.codes)
     for m, v in zip(positions, values):
         corrected_codes[m] = K.subc(corrected_codes[m], v.code)
     corrected = Vec(K, corrected_codes)
     if not C.syndrome(corrected).is_zero:
-        return _failure(alg, s, FailureReason.MALFORMED_SYNDROME_STRUCTURE,
-                        f"{alg}: Malformed syndrome structure", S,
-                        l=l, locator_poly=L, positions=positions, locators=locators)
+        return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)
 
-    return DecodeReport(alg, Status.CORRECTED, s, l=l,
-                        positions=positions, locators=locators,
-                        values=tuple(values), locator_poly=L,
-                        evaluator_poly=E, hankel=S, corrected=corrected)
+    rep.status = Status.CORRECTED
+    rep.values, rep.evaluator_poly, rep.corrected = tuple(values), E, corrected
+    return rep
 
 
-def _failure(alg, s, reason, message, S=None, l=0, locator_poly=None,
-             positions=(), locators=()) -> DecodeReport:
-    return DecodeReport(alg, Status.FAILURE, s, reason=reason, message=message,
-                        hankel=S, l=l, locator_poly=locator_poly,
-                        positions=tuple(positions), locators=tuple(locators))
+_MESSAGES = {
+    FailureReason.DEFECTIVE_ERROR_LOCATION: "{alg}: Defective error location",
+    FailureReason.MALFORMED_SYNDROME_STRUCTURE: "{alg}: Malformed syndrome structure",
+    # both decoders deliberately share this exact text, PGZ prefix included
+    FailureReason.VALUE_NOT_IN_BASE_FIELD: "PGZ: error value not in base field",
+}
+
+
+def _fail(rep: DecodeReport, reason: FailureReason) -> DecodeReport:
+    rep.reason = reason
+    rep.message = _MESSAGES[reason].format(alg=rep.algorithm)
+    return rep

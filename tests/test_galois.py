@@ -378,6 +378,10 @@ def test_poly_arithmetic_random():
             assert (f + d)(x) == f(x) + d(x)
     with pytest.raises(ZeroDivisionError):
         divmod(Z13.poly([1, 1]), Z13.poly([]))
+    for F in (Z13, F25, F32):
+        for _ in range(5):
+            f = Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(9))])
+            assert all(f.at(x.code) == f(x).code for x in F.elements())
 
 
 def test_locator_reference_values():

@@ -199,6 +199,17 @@ def test_no_error_path():
     assert rep2.corrected == c
 
 
+def _assert_partial_trace(rep, hankel, l, locator_poly, positions, locators):
+    """A failure report holds the stages that finished and nothing after them."""
+    assert rep.hankel == hankel
+    assert rep.l == l
+    assert rep.locator_poly == locator_poly
+    assert rep.positions == positions
+    assert rep.locators == locators
+    assert rep.values == ()
+    assert rep.evaluator_poly is None and rep.corrected is None
+
+
 def test_defective_location_fixture():
     C = demo_code("prs13")
     e = random_error_vector(Z13, 12, 3, 1)  # weight t + 1
@@ -210,6 +221,10 @@ def test_defective_location_fixture():
     assert not rep.ok
     assert rep.render() == ["PGZ: Defective error location"]
     assert pgzm(e, C).message == "PGZm: Defective error location"
+    # L = z^2 + 2z + 3 has no root among the support
+    for decode in (pgz, pgzm):
+        _assert_partial_trace(decode(e, C), Mat(Z13, [[6, 5, 11], [5, 11, 2]]),
+                              2, Z13.poly([3, 2, 1]), (), ())
 
 
 def test_malformed_structure_fixture():
@@ -219,6 +234,9 @@ def test_malformed_structure_fixture():
     assert rep.status is Status.FAILURE
     assert rep.reason is FailureReason.MALFORMED_SYNDROME_STRUCTURE
     assert rep.message == "PGZ: Malformed syndrome structure"
+    for decode in (pgz, pgzm):
+        _assert_partial_trace(decode(e, C), Mat(Z13, [[11, 4, 5], [4, 5, 1]]),
+                              0, None, (), ())
 
 
 def test_value_not_in_base_field_fixture():
@@ -231,6 +249,10 @@ def test_value_not_in_base_field_fixture():
         assert rep.reason is FailureReason.VALUE_NOT_IN_BASE_FIELD
         # identical wording for both decoders, PGZ prefix included
         assert rep.message == "PGZ: error value not in base field"
+        F = C.ext_field
+        _assert_partial_trace(
+            rep, Mat(F, [[1, 3, 19, 12], [3, 19, 12, 15], [19, 12, 15, 22]]),
+            3, Poly(F, (23, 9, 2, 1)), (0, 7, 10), tuple(Vec(F, (1, 12, 15))))
 
 
 def test_rank_zero_hankel_fixture():
@@ -245,6 +267,7 @@ def test_rank_zero_hankel_fixture():
         assert rep.status is Status.FAILURE
         assert rep.reason is FailureReason.MALFORMED_SYNDROME_STRUCTURE
         assert rep.message == f"{prefix}: Malformed syndrome structure"
+        _assert_partial_trace(rep, Mat(F32, [[0, 0, 0], [0, 0, 0]]), 0, None, (), ())
 
 
 def test_beyond_capacity_never_returns_noncodeword():
