@@ -46,6 +46,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_SPEC_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_code(token: str) -> AlternantCode:
     if token in demo_mod.DEMO_NAMES:
         return demo_mod.demo_code(token)
@@ -312,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_demo)
 
     p = add("bench", cmd_bench, "time both decoders at each weight up to t")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("selftest",
@@ -320,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selftest)
     p.add_argument("--code", default="prs13",
                    help="demo code name or description path (default prs13)")
-    p.add_argument("--trials", type=int, default=25, help="trials per weight")
+    p.add_argument("--trials", type=_positive_int, default=25, help="trials per weight")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-checks", type=int, default=OracleBudget().max_checks,
                    help="oracle enumeration cap")

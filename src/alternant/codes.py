@@ -12,7 +12,7 @@ RS (prs), BCH (bch) and classical Goppa (goppa) codes.
 from __future__ import annotations
 
 from .galois import Field, FieldElement, Poly, element_order, poly_gcd
-from .linalg import Mat, Vec, expand, gauss_jordan, null_space, vandermonde
+from .linalg import LinearMap, Mat, Vec, expand, gauss_jordan, null_space, vandermonde
 
 
 class CodeError(ValueError):
@@ -66,8 +66,10 @@ class AlternantCode:
         V = vandermonde(r, alpha)
         self.H = Mat(F, ((mulc(v, hc) for v, hc in zip(row, h.codes))
                          for row in V.rows), ncols=n)
+        self._syndrome_map = LinearMap(self.H.transpose(), base_field)
         self._k: int | None = None
         self._G: Mat | None = None
+        self._encode_map: LinearMap | None = None
         self._d_exact: int | None = None
 
     # -- parameters -----------------------------------------------------------
@@ -96,8 +98,10 @@ class AlternantCode:
         if self._G is None:
             if self.k == 0:
                 raise CodeError(f"{self.describe()} has dimension 0")
-            self._G = null_space(expand(self.H, self.base_field))
-            assert self._G.nrows == self.k
+            G = null_space(expand(self.H, self.base_field))
+            assert G.nrows == self.k
+            self._encode_map = LinearMap(G, self.base_field)  # before _G: whoever sees _G finds it
+            self._G = G
         return self._G
 
     def describe(self) -> str:
@@ -111,26 +115,17 @@ class AlternantCode:
     # -- operations -----------------------------------------------------------
 
     def syndrome(self, y) -> Vec:
-        """y @ H^T for a received word y over K (or the extension field)."""
-        F = self.ext_field
-        y = self._coerce_word(y, allow_ext=True)
-        return Vec(F, [F.dot(y.codes, row) for row in self.H.rows])
+        """y @ H^T for a received word y over K."""
+        return Vec(self.ext_field, self._syndrome_map(self._coerce_word(y).codes))
 
     def encode(self, message) -> Vec:
         """message (length k over K) times the generator matrix."""
         K = self.base_field
-        G = self.generator_matrix()
+        self.generator_matrix()  # builds _encode_map on first use
         msg = Vec.of(K, message)
         if len(msg) != self.k:
             raise CodeError(f"message length {len(msg)} != k={self.k}")
-        if K.m == 1:
-            p = K.p
-            acc = [0] * self.n
-            for c, row in zip(msg.codes, G.rows):
-                if c:
-                    acc = [a + c * g for a, g in zip(acc, row)]
-            return Vec(K, (a % p for a in acc))
-        return msg @ G
+        return Vec(K, self._encode_map(msg.codes))
 
     def is_codeword(self, x) -> bool:
         try:
@@ -139,18 +134,8 @@ class AlternantCode:
             return False
         return self.syndrome(x).is_zero
 
-    def _coerce_word(self, y, allow_ext: bool = False) -> Vec:
-        K = self.base_field
-        if isinstance(y, Vec):
-            if y.field == K:
-                pass
-            elif allow_ext and y.field == self.ext_field:
-                pass
-            else:
-                raise TypeError(
-                    f"vector over {y.field.name}; expected {K.name}")
-        else:
-            y = Vec.of(K, y)
+    def _coerce_word(self, y) -> Vec:
+        y = Vec.of(self.base_field, y)
         if len(y) != self.n:
             raise CodeError(f"vector length {len(y)} != n={self.n}")
         return y

@@ -68,7 +68,7 @@ class Field:
 
     Do not call directly; use prime_field() or extension().  Arithmetic on
     raw integer codes is exposed through addc/subc/negc/mulc/invc/powc and
-    the vector forms dot/addv for hot paths; FieldElement wraps a code for
+    the vector form addv for hot paths; FieldElement wraps a code for
     operator syntax.  Instances are immutable once built and safe to share.
 
     exp[k] is the code of g^k for a primitive element g, the generator when
@@ -104,57 +104,69 @@ class Field:
     def _power_tables(self) -> tuple[array, array]:
         """exp/log of the generator if it is primitive, else of the first primitive b.
 
-        step[c] is the code of x*c, x being the generator of an extension or
-        the first primitive root of a prime field.  If x has order n/d, then
-        x = b^s with gcd(s, n) = d, and walking step from b^i (i < d) visits
-        b^i x^j, whose log is i + s*j mod n: one table step per entry.
+        step[c] is the code of x*c, x being the first primitive root of a
+        prime field, the generator of an extension if it is primitive, and b
+        otherwise.  The walk 1, x, x^2, ... along step is the exp table: one
+        table step per entry.
         """
         p, m, q, n = self.p, self.m, self.q, self.q - 1
         primes = _prime_factors(n)
-        reps, s = [1], 1
         if m == 1:
             x = next(c for c in range(1, q) if all(pow(c, n // f, p) != 1 for f in primes))
             step = array("i", [c * x % p for c in range(q)])
         else:
-            step = self._times_x_table()
+            xm = [(-f) % p for f in self.modulus_codes[:m]]  # X^m = -(f_0 + f_1 X + ...)
 
             def mul(a: int, b: int) -> int:  # from the digits of b and shifts of a
-                acc = [0] * m
+                acc, sh = [0] * m, self.coords_code(a)
                 for bj in self.coords_code(b):
-                    acc = [(u + bj * v) % p for u, v in zip(acc, self.coords_code(a))]
-                    a = step[a]
+                    acc = [(u + bj * v) % p for u, v in zip(acc, sh)]
+                    sh = [(u + sh[-1] * v) % p for u, v in zip([0] + sh[:-1], xm)]
                 return self._encode(acc)
 
             def power(a: int, e: int) -> int:
                 return 1 if e == 0 else mul(power(mul(a, a), e >> 1), a if e & 1 else 1)
 
-            n_x = n  # the order of x
-            for f in primes:
-                while n_x % f == 0 and power(p, n_x // f) == 1:
-                    n_x //= f
-            if n_x < n:
-                # constants have order dividing p - 1 < n, and x is not primitive
-                b = next(c for c in range(p + 1, q)
-                         if all(power(c, n // f) != 1 for f in primes))
-                while len(reps) <= n // n_x:
-                    reps.append(mul(reps[-1], b))
-                # b^d = x^j lies in <x>, so x = b^(d u) with u = j^-1 mod n_x
-                bd, c, j = reps.pop(), 1, 0
-                while c != bd:
-                    c, j = step[c], j + 1
-                s = n // n_x * pow(j, -1, n_x)
+            def primitive(c: int) -> bool:
+                return all(power(c, n // f) != 1 for f in primes)
+
+            if primitive(p):
+                step = self._times_x_table(xm)
+            else:  # constants have order dividing p - 1 < n, so b lies past them
+                b = next(c for c in range(p + 1, q) if primitive(c))
+                step = self._times_table([mul(b, p ** k) for k in range(m)])
         exp, log = array("i", bytes(4 * n)), array("i", bytes(4 * q))
-        for i, c in enumerate(reps):
-            k = i
-            for _ in range(n // len(reps)):
-                exp[k], log[c] = c, k
-                c, k = step[c], (k + s) % n
+        c = 1
+        for k in range(n):
+            exp[k], log[c] = c, k
+            c = step[c]
         return exp * 2, log
 
-    def _times_x_table(self) -> array:
+    def _times_table(self, cols: list[int]) -> array:
+        """Code of b*c for every code c, given the codes cols[k] of b X^k.
+
+        b*c = sum of c_k b X^k is Z_p-linear in the digits c_k of c, so the
+        table grows one digit of c at a time: by XOR for p = 2, and for odd p
+        as one unreduced linear form per digit of b*c, reduced once at the end.
+        """
+        p = self.p
+        if p == 2:
+            table = [0]
+            for v in cols:
+                table += [t ^ v for t in table]
+            return array("i", table)
+        digits = [self.coords_code(v) for v in cols]
+        table = [0] * self.q
+        for j in range(self.m):
+            form, w = [0], p ** j
+            for u in digits:
+                form = [f + du for du in [d * u[j] for d in range(p)] for f in form]
+            table = [t + f % p * w for t, f in zip(table, form)]
+        return array("i", table)
+
+    def _times_x_table(self, xm: list[int]) -> array:
         """Code of X*c for every code c, built one digit position at a time."""
         p, m = self.p, self.m
-        xm = [(-f) % p for f in self.modulus_codes[:m]]  # X^m = -(f_0 + f_1 X + ...)
         table = array("i")
         for top in range(p):
             # X * (lo + top X^(m-1)) = X*lo + top X^m: shift the digits of lo
@@ -170,9 +182,10 @@ class Field:
     def _zech_table(self) -> array:
         """zech[k] = log(1 + g^k), or 0 where 1 + g^k = 0 (log 1 = 0 is never a Zech value)."""
         p, log = self.p, self.log
-        # 1 + c only increments the constant digit of c
-        return array("i", (log[c + 1 if c % p != p - 1 else c + 1 - p]
-                           for c in self.exp[:self.q - 1]))
+        # log1[c] = log(1 + c): 1 + c increments the constant digit of c, wrapping p - 1 to 0
+        log1 = log[1:] + log[:1]
+        log1[p - 1::p] = log[::p]
+        return array("i", map(log1.__getitem__, self.exp[:self.q - 1]))
 
     def _build_tables(self):
         """q x q lookup tables from exp/log; add and neg go through the ops while unset."""
@@ -245,21 +258,6 @@ class Field:
                 raise ZeroDivisionError(f"division by zero in {self.name}")
             return 0 if e else 1
         return self.exp[self.log[a] * e % (self.q - 1)]
-
-    def dot(self, xs: Iterable[int], ys: Iterable[int]) -> int:
-        """Sum of the products of paired codes."""
-        acc = 0
-        add, mul = self._add, self._mul
-        if mul is not None:
-            for x, y in zip(xs, ys):
-                if x:
-                    acc = add[acc][mul[x][y]]
-            return acc
-        addc, exp, log = self.addc, self.exp, self.log
-        for x, y in zip(xs, ys):
-            if x and y:
-                acc = addc(acc, exp[log[x] + log[y]])
-        return acc
 
     def addv(self, xs: Iterable[int], ys: Iterable[int]) -> tuple[int, ...]:
         """Coordinatewise sum of two code vectors."""
@@ -635,10 +633,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.codes
 
-    def coeff(self, i: int) -> FieldElement:
-        code = self.codes[i] if 0 <= i < len(self.codes) else 0
-        return FieldElement(self.field, code)
-
     def _coerce(self, other):
         if isinstance(other, Poly):
             if other.field != self.field:
@@ -792,23 +786,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.field.name}]{self}"
-
-    def pretty(self, var: str = "z") -> str:
-        """Human-oriented rendering like 'z^2 + 5z + 2'."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(len(self.codes) - 1, -1, -1):
-            c = self.codes[i]
-            if not c:
-                continue
-            cs = self.field.format_code(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                z = var if i == 1 else f"{var}^{i}"
-                parts.append(z if cs == "1" else f"{cs}{z}" if len(cs) == 1 else f"({cs}){z}")
-        return " + ".join(parts)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

@@ -1,13 +1,19 @@
-"""Exact vectors, matrices, and deterministic Gauss-Jordan elimination.
+"""Exact vectors, matrices, linear maps and deterministic Gauss-Jordan elimination.
 
 Everything is over a Field from .galois and carried as tuples of canonical
 integer codes, so results are reproducible bit for bit: pivoting always
 takes the first nonzero entry scanning down the current column, rows are
 processed top-down and columns left-to-right, and there are no tolerances.
+Every vector-times-matrix product, syndromes and encodings included, goes
+through one LinearMap, which reads the matrix as a Z_p-linear map on packed
+integers.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress, repeat
+from operator import and_, floordiv, mod, mul, xor
 from typing import Iterable, NamedTuple
 
 from .galois import Field, FieldElement
@@ -86,18 +92,7 @@ class Vec:
         _check_same_field(self.field, M.field)
         if len(self) != M.nrows:
             raise ValueError(f"shape mismatch: 1x{len(self)} @ {M.nrows}x{M.ncols}")
-        F = self.field
-        mulc, addc = F.mulc, F.addc
-        out = [0] * M.ncols
-        for c, row in zip(self.codes, M.rows):
-            if c:
-                out = [addc(acc, mulc(c, r)) for acc, r in zip(out, row)]
-        return Vec(F, out)
-
-    def scale(self, s) -> "Vec":
-        sc = self.field.element(s).code
-        mulc = self.field.mulc
-        return Vec(self.field, (mulc(sc, c) for c in self.codes))
+        return Vec(self.field, LinearMap(M, self.field)(self.codes))
 
     @property
     def is_zero(self) -> bool:
@@ -155,14 +150,8 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.field, self.rows[i][j])
-
     def row(self, i: int) -> Vec:
         return Vec(self.field, self.rows[i])
-
-    def col(self, j: int) -> Vec:
-        return Vec(self.field, (r[j] for r in self.rows))
 
     def transpose(self) -> "Mat":
         if not self.rows:
@@ -176,32 +165,13 @@ class Mat:
             if self.ncols != other.nrows:
                 raise ValueError(
                     f"shape mismatch: {self.shape} @ {other.shape}")
-            mulc, addc = F.mulc, F.addc
-            bcols = tuple(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                orow = []
-                for bc in bcols:
-                    acc = 0
-                    for a, b in zip(row, bc):
-                        if a and b:
-                            acc = addc(acc, mulc(a, b))
-                    orow.append(acc)
-                out.append(orow)
-            return Mat(F, out, ncols=other.ncols)
+            times = LinearMap(other, F)
+            return Mat(F, (times(row) for row in self.rows), ncols=other.ncols)
         if isinstance(other, Vec):
             _check_same_field(F, other.field)
             if self.ncols != len(other):
                 raise ValueError(f"shape mismatch: {self.shape} @ {len(other)}")
-            mulc, addc = F.mulc, F.addc
-            out = []
-            for row in self.rows:
-                acc = 0
-                for a, b in zip(row, other.codes):
-                    if a and b:
-                        acc = addc(acc, mulc(a, b))
-                out.append(acc)
-            return Vec(F, out)
+            return Vec(F, LinearMap(self.transpose(), F)(other.codes))
         return NotImplemented
 
     def __eq__(self, other):
@@ -230,6 +200,65 @@ class Mat:
 
     def __repr__(self):
         return f"Mat[{self.field.name} {self.nrows}x{self.ncols}]\n{self}"
+
+
+class LinearMap:
+    """x -> x @ A on packed integers, for x over A's field F or its prime subfield.
+
+    Over Z_p, F has dimension m, the input field dimension d (1 or m), and
+    x @ A is Z_p-linear in the d coordinates of each x_i.  Row i of A times
+    X^b (b < d) is packed into one int, a w-bit slot per (column, coordinate)
+    with the constant coordinate lowest; x @ A is the sum of these rows scaled
+    by the coordinates of x, read back slot by slot mod p.  For p = 2 a slot
+    is one bit and the sum is XOR (bitslicing); for odd p, w bits hold
+    nrows * d * (p-1)^2, the largest slot sum, so no slot carries into the
+    next (Kronecker substitution).
+    """
+
+    __slots__ = ("field", "ncols", "_w", "_rows")
+
+    def __init__(self, A: Mat, K: Field):
+        F = A.field
+        if K != F and (K.m != 1 or K.p != F.p):
+            raise TypeError(f"{K.name} is neither {F.name} nor its prime subfield")
+        p, m = F.p, F.m
+        self.field, self.ncols = F, A.ncols
+        self._w = w = 1 if p == 2 else (A.nrows * K.m * (p - 1) ** 2).bit_length()
+        if p == 2 or m == 1:  # a code's digits already sit one per slot
+            step, digits = m * w, reversed
+        else:
+            coords = F.coords_code
+            step, digits = w, lambda row: (g for c in reversed(row) for g in reversed(coords(c)))
+        self._rows = []  # _rows[b][i]: row i times X^b, packed
+        for b in range(K.m):
+            self._rows.append([])
+            for row in A.rows:
+                acc = 0
+                for g in digits(row if b == 0 else [F.mulc(p ** b, c) for c in row]):
+                    acc = acc << step | g
+                self._rows[b].append(acc)
+
+    def __call__(self, codes) -> list[int]:
+        """Codes of x @ A, given the codes of x (length A.nrows, over the input field)."""
+        p, m, w = self.field.p, self.field.m, self._w
+        if len(self._rows) == 1:  # digit b of every x_i, for the rows times X^b
+            digits = [codes]
+        elif p == 2:  # nonzero where bit b is set
+            digits = (map(and_, codes, repeat(1 << b)) for b in range(m))
+        else:
+            digits = (map(mod, map(floordiv, codes, repeat(p ** b)), repeat(p)) for b in range(m))
+        if p == 2:
+            acc, mask = 0, (1 << m) - 1
+            for selected, rows in zip(digits, self._rows):
+                acc = reduce(xor, compress(rows, selected), acc)
+            return [acc >> s & mask for s in range(0, self.ncols * m, m)]
+        acc = sum(sum(map(mul, scale, rows)) for scale, rows in zip(digits, self._rows))
+        mask = (1 << w) - 1
+        slots = [(acc >> s & mask) % p for s in range(0, self.ncols * m * w, w)]
+        out = slots[m - 1::m]  # each column's code from its m slots, by Horner's rule
+        for k in range(m - 2, -1, -1):
+            out = [c * p + s for c, s in zip(out, slots[k::m])]
+        return out
 
 
 def _check_same_field(a: Field, b: Field):

@@ -262,9 +262,18 @@ def test_bench(capsys):
     assert out.count(" pgz ") + out.count("pgz ") >= 2  # rows per weight
 
 
-def test_bench_zero_trials(capsys):
-    assert main(["bench", "--code", "prs13", "--trials", "0"]) == EXIT_OK
-    assert "equivalence: OK (0 paired trials)" in capsys.readouterr().out
+def test_trials_must_be_positive(capsys):
+    # a run of no trials checks nothing, so it must not report OK
+    for argv in (["bench", "--code", "prs13", "--trials", "0"],
+                 ["bench", "--code", "prs13", "--trials", "-3"],
+                 ["selftest", "--trials", "0"],
+                 ["selftest", "--trials", "two"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == EXIT_SPEC_ERROR
+        out, err = capsys.readouterr()
+        assert "OK" not in out
+        assert "--trials: must be a positive integer" in err
 
 
 def test_selftest(capsys):

@@ -9,6 +9,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ import alternant
 
 from alternant.galois import (
     NEG_INF,
+    Field,
     Poly,
     element_order,
     extension,
@@ -25,6 +28,7 @@ from alternant.galois import (
     prime_field,
     pull,
 )
+from alternant.linalg import LinearMap, Mat
 
 Z2 = prime_field(2)
 Z3 = prime_field(3)
@@ -147,8 +151,26 @@ def test_arithmetic_matches_coordinate_reference(F):
     ref = 0
     for x, y in zip(xs, ys):
         ref = add(ref, mul(x, y))
-    assert F.dot(xs, ys) == ref
+    assert LinearMap(Mat(F, [[y] for y in ys]), F)(xs) == [ref]
     assert F.addv(xs, ys) == tuple(add(x, y) for x, y in zip(xs, ys))
+
+
+def test_field_with_low_order_generator_builds_fast():
+    # X^2 + X + 1 over Z1019: X has order 3, so the tables walk the first
+    # primitive b, whose times-b table comes from b X^k; one digit-list
+    # product per coset representative of <X> took 3.6 s here
+    t0 = time.perf_counter()
+    F = Field(1019, (1, 1, 1))
+    assert time.perf_counter() - t0 < 2.0
+    n = F.q - 1
+    assert set(F.exp[:n]) == set(range(1, F.q))
+    assert array("i", map(F.log.__getitem__, F.exp[:n])) == array("i", range(n))
+    add, mul = _reference(F)
+    rng = random.Random(1019)
+    for _ in range(300):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.mulc(a, b) == mul(a, b)
+        assert F.addc(a, b) == add(a, b)
 
 
 def test_printing_does_not_depend_on_call_history():
@@ -359,7 +381,6 @@ def test_poly_basic_shape():
     assert Z13.poly([]).degree == NEG_INF
     assert Z13.poly([0, 0, 0]).is_zero
     assert Z13.poly([7, 0, 0]) == Z13.poly([7])  # trailing zeros dropped
-    assert f.coeff(1) == Z13.element(5) and f.coeff(9).is_zero
 
 
 def test_poly_arithmetic_random():
@@ -427,4 +448,3 @@ def test_goppa_polynomial_root_census():
 def test_poly_display():
     f = Z13.poly([2, 5, 1])
     assert str(f) == "[2, 5, 1]"
-    assert "z" in f.pretty()

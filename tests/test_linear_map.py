@@ -1,0 +1,110 @@
+"""The packed LinearMap against the plain loop of field operations it replaced.
+
+_dot is the loop Field.dot ran: a sum of products of paired codes, one field
+operation at a time.  Syndromes, encodings and matrix products are checked
+against it on every demo code, on random codes and matrices over prime
+fields and over extensions of characteristic 2 and 3 on both sides of the
+256-element table limit, and on inputs whose every coordinate is p - 1,
+where the packed slot sums are widest.
+"""
+
+import random
+
+import pytest
+
+from alternant.codes import bch, goppa, grs, rs
+from alternant.demo import DEMO_NAMES, demo_code
+from alternant.galois import extension, prime_field
+from alternant.linalg import LinearMap, Mat, Vec
+
+Z2 = prime_field(2)
+Z3 = prime_field(3)
+Z257 = prime_field(257)
+Z65521 = prime_field(65521)  # the largest prime below 2^16
+F25, _ = extension(prime_field(5), [3, 0, 1])
+F32, _ = extension(Z2, [1, 0, 1, 0, 0, 1])
+F512, x512 = extension(Z2, [1, 1, 0, 0, 0, 0, 0, 0, 0, 1])  # X of order 73
+F243, _ = extension(Z3, [1, 2, 0, 0, 0, 1])
+F729, _ = extension(Z3, [2, 1, 0, 0, 0, 0, 1])
+
+FIELDS = [Z2, Z3, Z257, Z65521, F25, F32, F512, F243, F729]
+
+
+def _dot(F, xs, ys):
+    """Sum of the products of paired codes, one field operation at a time."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = F.addc(acc, F.mulc(x, y))
+    return acc
+
+
+def _times(xs, A):
+    """x @ A, column by column."""
+    return [_dot(A.field, xs, col) for col in zip(*A.rows)]
+
+
+def _inputs(K, n, rng):
+    """Random words over K, a sparse one, and the word whose coordinates are all p - 1."""
+    words = [[rng.randrange(K.q) for _ in range(n)] for _ in range(4)]
+    sparse = [0] * n
+    sparse[rng.randrange(n)] = rng.randrange(1, K.q)
+    return words + [sparse, [K.q - 1] * n]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name)
+def test_map_matches_reference_loop(F):
+    rng = random.Random(F.q)
+    for K in dict.fromkeys((F, F.prime_subfield())):
+        for nrows, ncols in ((1, 1), (3, 5), (17, 2), (40, 7)):
+            A = Mat(F, [[rng.randrange(F.q) for _ in range(ncols)] for _ in range(nrows)])
+            full = Mat(F, [[F.q - 1] * ncols for _ in range(nrows)])
+            for M in (A, full):
+                times = LinearMap(M, K)
+                for x in _inputs(K, nrows, rng):
+                    assert times(x) == _times(x, M)
+
+
+@pytest.mark.parametrize("F", [Z257, F512, F729], ids=lambda F: F.name)
+def test_matrix_products_match_reference_loop(F):
+    rng = random.Random(7)
+    A = Mat(F, [[rng.randrange(F.q) for _ in range(4)] for _ in range(3)])
+    B = Mat(F, [[rng.randrange(F.q) for _ in range(5)] for _ in range(4)])
+    v = Vec(F, [F.q - 1] * 3)
+    assert A @ B == Mat(F, [_times(row, B) for row in A.rows])
+    assert v @ A == Vec(F, _times(v.codes, A))
+    assert B @ Vec(F, v.codes + (1, 2)) == Vec(F, _times(v.codes + (1, 2), B.transpose()))
+
+
+def test_map_rejects_a_foreign_input_field():
+    A = Mat(F32, [[1, 2]])
+    with pytest.raises(TypeError):
+        LinearMap(A, Z3)
+    with pytest.raises(TypeError):
+        LinearMap(A, F25)
+
+
+def _random_codes():
+    rng = random.Random(11)
+    yield rs(Vec(Z257, rng.sample(range(1, 257), 30)), 20)
+    yield rs(Vec(Z65521, rng.sample(range(1, 65521), 12)), 5)
+    yield bch(x512, 9)
+    F = F729
+    a = Vec(F, rng.sample(range(1, F.q), 24))
+    yield grs(Vec(F, [rng.randrange(1, F.q) for _ in range(24)]), a, 16)
+    g = F.poly([1, 0, 1, 1])
+    yield goppa(g, Vec(F, [c for c in a.codes if g.at(c)]))
+    yield bch(F243.first_primitive(), 5)
+
+
+@pytest.mark.parametrize("C", [*(demo_code(name) for name in DEMO_NAMES), *_random_codes()],
+                         ids=lambda C: C.describe())
+def test_syndrome_and_encode_match_reference_loop(C):
+    rng = random.Random(C.n)
+    K, G = C.base_field, C.generator_matrix()
+    for y in _inputs(K, C.n, rng):
+        assert list(C.syndrome(Vec(K, y)).codes) == [_dot(C.ext_field, y, row) for row in C.H.rows]
+    for msg in _inputs(K, C.k, rng):
+        c = C.encode(Vec(K, msg))
+        assert list(c.codes) == _times(msg, G)
+        assert C.is_codeword(c)
