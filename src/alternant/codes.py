@@ -12,7 +12,9 @@ RS (prs), BCH (bch) and classical Goppa (goppa) codes.
 from __future__ import annotations
 
 from .galois import Field, FieldElement, Poly, element_order, poly_gcd
-from .linalg import LinearMap, Mat, Vec, expand, gauss_jordan, null_space, vandermonde
+from .linalg import (
+    LinearMap, Mat, Vec, evaluation_map, expand, gauss_jordan, null_space, vandermonde,
+)
 
 
 class CodeError(ValueError):
@@ -67,7 +69,9 @@ class AlternantCode:
         self.H = Mat(F, ((mulc(v, hc) for v, hc in zip(row, h.codes))
                          for row in V.rows), ncols=n)
         self._syndrome_map = LinearMap(self.H.transpose(), base_field)
+        evaluation_map(alpha, self.t + 1)  # root search on locators of degree <= t
         self._k: int | None = None
+        self._reduced: Mat | None = None  # k's reduced expanded H, for G: one elimination
         self._G: Mat | None = None
         self._encode_map: LinearMap | None = None
         self._d_exact: int | None = None
@@ -78,7 +82,9 @@ class AlternantCode:
     def k(self) -> int:
         """Dimension over K: n minus the rank of the expanded control matrix."""
         if self._k is None:
-            self._k = self.n - gauss_jordan(expand(self.H, self.base_field)).rank
+            res = gauss_jordan(expand(self.H, self.base_field))
+            self._reduced = Mat(res.rref.field, res.rref.rows[:res.rank], ncols=self.n)
+            self._k = self.n - res.rank
         return self._k
 
     @property
@@ -98,7 +104,7 @@ class AlternantCode:
         if self._G is None:
             if self.k == 0:
                 raise CodeError(f"{self.describe()} has dimension 0")
-            G = null_space(expand(self.H, self.base_field))
+            G, self._reduced = null_space(self._reduced), None  # reduced already: one pass
             assert G.nrows == self.k
             self._encode_map = LinearMap(G, self.base_field)  # before _G: whoever sees _G finds it
             self._G = G

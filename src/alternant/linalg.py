@@ -4,15 +4,17 @@ Everything is over a Field from .galois and carried as tuples of canonical
 integer codes, so results are reproducible bit for bit: pivoting always
 takes the first nonzero entry scanning down the current column, rows are
 processed top-down and columns left-to-right, and there are no tolerances.
-Every vector-times-matrix product, syndromes and encodings included, goes
-through one LinearMap, which reads the matrix as a Z_p-linear map on packed
-integers.
+Every vector-times-matrix product, syndromes, encodings and root search
+included, goes through one LinearMap, which reads the matrix as a
+Z_p-linear map on packed integers.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import and_, floordiv, mod, mul, xor
 from typing import Iterable, NamedTuple
 
@@ -68,22 +70,18 @@ class Vec:
         return hash((self.field.p, self.field.modulus_codes, self.codes))
 
     def __add__(self, other):
-        if not isinstance(other, Vec):
-            return NotImplemented
-        _check_same_field(self.field, other.field)
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        addc = self.field.addc
-        return Vec(self.field, (addc(a, b) for a, b in zip(self.codes, other.codes)))
+        return self._pairwise(other, self.field.addc)
 
     def __sub__(self, other):
+        return self._pairwise(other, self.field.subc)
+
+    def _pairwise(self, other, op):
         if not isinstance(other, Vec):
             return NotImplemented
         _check_same_field(self.field, other.field)
         if len(self) != len(other):
             raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        subc = self.field.subc
-        return Vec(self.field, (subc(a, b) for a, b in zip(self.codes, other.codes)))
+        return Vec(self.field, map(op, self.codes, other.codes))
 
     def __matmul__(self, M: "Mat") -> "Vec":
         """Row vector times matrix."""
@@ -209,38 +207,72 @@ class LinearMap:
     x @ A is Z_p-linear in the d coordinates of each x_i.  Row i of A times
     X^b (b < d) is packed into one int, a w-bit slot per (column, coordinate)
     with the constant coordinate lowest; x @ A is the sum of these rows scaled
-    by the coordinates of x, read back slot by slot mod p.  For p = 2 a slot
-    is one bit and the sum is XOR (bitslicing); for odd p, w bits hold
+    by the coordinates of x.  For p = 2 a slot is one bit and the sum is XOR
+    (bitslicing); zeros(x), the zero columns of x @ A, ORs each column's m
+    bits into its lowest with ceil(log2 m) shift-ORs and reads the clear ones.
+    For odd p a slot is the first of 8, 16, 32 or 64 bits that holds
     nrows * d * (p-1)^2, the largest slot sum, so no slot carries into the
-    next (Kronecker substitution).
+    next (Kronecker substitution); one to_bytes and a memoryview cast read
+    the slots back, then each is taken mod p.
     """
 
-    __slots__ = ("field", "ncols", "_w", "_rows")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_typecode", "_nbytes", "_folds", "_low")
 
     def __init__(self, A: Mat, K: Field):
         F = A.field
         if K != F and (K.m != 1 or K.p != F.p):
             raise TypeError(f"{K.name} is neither {F.name} nor its prime subfield")
         p, m = F.p, F.m
-        self.field, self.ncols = F, A.ncols
-        self._w = w = 1 if p == 2 else (A.nrows * K.m * (p - 1) ** 2).bit_length()
-        if p == 2 or m == 1:  # a code's digits already sit one per slot
-            step, digits = m * w, reversed
-        else:
-            coords = F.coords_code
-            step, digits = w, lambda row: (g for c in reversed(row) for g in reversed(coords(c)))
-        self._rows = []  # _rows[b][i]: row i times X^b, packed
-        for b in range(K.m):
-            self._rows.append([])
-            for row in A.rows:
+        self.field, self.nrows, self.ncols = F, A.nrows, A.ncols
+        if p == 2:
+            def pack(row):
                 acc = 0
-                for g in digits(row if b == 0 else [F.mulc(p ** b, c) for c in row]):
-                    acc = acc << step | g
-                self._rows[b].append(acc)
+                for c in reversed(row):  # a code's bits already sit one per slot
+                    acc = acc << m | c
+                return acc
+            # shift-ORs that take bits 0..m-1 of each column into bit 0, covering 1, 2, 4, ..., m
+            self._folds = [min(1 << i, m - (1 << i)) for i in range((m - 1).bit_length())]
+            self._low = int(("0" * (m - 1) + "1") * self.ncols, 2)
+        else:
+            def pack(row):
+                slots = row if m == 1 else [g for c in row for g in F.coords_code(c)]
+                return int.from_bytes(array(self._typecode, slots).tobytes(), sys.byteorder)
+            most = (A.nrows * K.m * (p - 1) ** 2).bit_length()  # p < 2^16: "Q" holds it
+            self._typecode = next(c for c in "BHIQ" if array(c).itemsize * 8 >= most)
+            self._nbytes = self.ncols * m * array(self._typecode).itemsize
+        # _rows[b][i]: row i times X^b, packed
+        self._rows = [[pack(row if b == 0 else [F.mulc(p ** b, c) for c in row]) for row in A.rows]
+                      for b in range(K.m)]
 
     def __call__(self, codes) -> list[int]:
-        """Codes of x @ A, given the codes of x (length A.nrows, over the input field)."""
-        p, m, w = self.field.p, self.field.m, self._w
+        """Codes of x @ A, given the codes of x (at most A.nrows, over the input field)."""
+        acc, p, m = self._sum(codes), self.field.p, self.field.m
+        if p == 2:
+            mask = (1 << m) - 1
+            return [acc >> s & mask for s in range(0, self.ncols * m, m)]
+        words = memoryview(acc.to_bytes(self._nbytes, sys.byteorder)).cast(self._typecode)
+        slots = list(map(mod, words, repeat(p)))
+        out = slots[m - 1::m]  # each column's code from its m slots, by Horner's rule
+        for k in range(m - 2, -1, -1):
+            out = [c * p + s for c, s in zip(out, slots[k::m])]
+        return out
+
+    def zeros(self, codes) -> list[int]:
+        """Indices (ascending) of the zero columns of x @ A, given the codes of x."""
+        if self.field.p != 2:
+            return [j for j, c in enumerate(self(codes)) if not c]
+        acc = self._sum(codes)
+        for s in self._folds:
+            acc |= acc >> s
+        zero, out = (acc & self._low) ^ self._low, []  # bit j*m set: column j is zero
+        while zero:
+            out.append(((zero & -zero).bit_length() - 1) // self.field.m)
+            zero &= zero - 1
+        return out
+
+    def _sum(self, codes) -> int:
+        """The packed x @ A, slots not yet reduced mod p."""
+        p, m = self.field.p, self.field.m
         if len(self._rows) == 1:  # digit b of every x_i, for the rows times X^b
             digits = [codes]
         elif p == 2:  # nonzero where bit b is set
@@ -248,17 +280,8 @@ class LinearMap:
         else:
             digits = (map(mod, map(floordiv, codes, repeat(p ** b)), repeat(p)) for b in range(m))
         if p == 2:
-            acc, mask = 0, (1 << m) - 1
-            for selected, rows in zip(digits, self._rows):
-                acc = reduce(xor, compress(rows, selected), acc)
-            return [acc >> s & mask for s in range(0, self.ncols * m, m)]
-        acc = sum(sum(map(mul, scale, rows)) for scale, rows in zip(digits, self._rows))
-        mask = (1 << w) - 1
-        slots = [(acc >> s & mask) % p for s in range(0, self.ncols * m * w, w)]
-        out = slots[m - 1::m]  # each column's code from its m slots, by Horner's rule
-        for k in range(m - 2, -1, -1):
-            out = [c * p + s for c, s in zip(out, slots[k::m])]
-        return out
+            return reduce(xor, chain.from_iterable(map(compress, self._rows, digits)), 0)
+        return sum(sum(map(mul, scale, rows)) for scale, rows in zip(digits, self._rows))
 
 
 def _check_same_field(a: Field, b: Field):
@@ -272,12 +295,23 @@ def vandermonde(r: int, alphas: Vec) -> Mat:
         raise ValueError(f"need r >= 1, got {r}")
     F = alphas.field
     rows = [[1] * len(alphas)]
-    cur = list(alphas.codes)
     for _ in range(r - 1):
-        rows.append(cur)
-        mulc = F.mulc
-        cur = [mulc(c, a) for c, a in zip(cur, alphas.codes)]
-    return Mat(F, rows[:r])
+        rows.append(list(map(F.mulc, rows[-1], alphas.codes)))
+    return Mat(F, rows)
+
+
+_EVALUATION_MAPS: dict[Vec, LinearMap] = {}
+
+
+def evaluation_map(alphas: Vec, r: int) -> LinearMap:
+    """x -> x @ vandermonde(r' >= r, alphas): coefficients to values on the support.
+
+    One map per support is kept for the life of the process, rebuilt when r grows.
+    """
+    M = _EVALUATION_MAPS.get(alphas)
+    if M is None or M.nrows < r:
+        M = _EVALUATION_MAPS[alphas] = LinearMap(vandermonde(r, alphas), alphas.field)
+    return M
 
 
 def hankel_matrix(s: Vec, t: int) -> Mat:
@@ -369,13 +403,8 @@ def expand(M: Mat, K: Field) -> Mat:
         return M
     if K.m != 1 or K.p != F.p:
         raise TypeError(f"{K.name} is not the prime subfield of {F.name}")
-    m = F.m
-    out = []
-    for row in M.rows:
-        coords = [F.coords_code(c) for c in row]
-        for k in range(m):
-            out.append([d[k] for d in coords])
-    return Mat(K, out, ncols=M.ncols)
+    return Mat(K, (coords for row in M.rows for coords in zip(*map(F.coords_code, row))),
+               ncols=M.ncols)
 
 
 def null_space(M: Mat) -> Mat:

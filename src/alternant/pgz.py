@@ -7,7 +7,8 @@ pgz and pgzm run one pipeline and differ only in the value stage:
      number of errors, and Gauss-Jordan reduction hands over the locator
      coefficients for free (gj_locator).
   3. L(z) = z^l + a_1 z^(l-1) + ... + a_l; its roots among the support
-     entries give the error positions.
+     entries give the error positions, all found in one packed product of
+     L's coefficients and the Vandermonde matrix on the support (locate).
   4. The error values: pgz takes the error-evaluator polynomial and
      Forney's formula, pgzm solves the l x l linear system in them.
   5. The correction is checked against H: the error vector's own syndrome
@@ -20,8 +21,8 @@ fills in hankel, l, locator_poly, positions and locators as each stage
 finishes.  A failing check stops the pipeline there: the report names the
 reason and keeps the stages before it.  Values, the evaluator polynomial
 and the corrected word are filled in only once the final check passes.
-Points are evaluated on raw integer codes (Poly.at); FieldElements are
-built only for what the report holds.
+Forney's single points are evaluated on raw integer codes (Poly.at);
+FieldElements are built only for what the report holds.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from enum import Enum
 from .galois import Field, FieldElement, Poly, pull
 from .linalg import (
     Mat, MalformedSyndromeStructure, SingularSystem, Vec,
-    gj_locator, hankel_matrix, solve_square,
+    evaluation_map, gj_locator, hankel_matrix, solve_square,
 )
 from .codes import AlternantCode
 
@@ -129,9 +130,12 @@ def alt_error_evaluator(s: Vec, locator: Poly) -> Poly:
 
 
 def locate(L: Poly, alphas: Vec) -> tuple[tuple[int, ...], tuple[FieldElement, ...]]:
-    """Positions (ascending) and values of L's roots among the support entries."""
-    at = L.at
-    positions = tuple(i for i, c in enumerate(alphas.codes) if at(c) == 0)
+    """Positions (ascending) and values of L's roots among the support entries.
+
+    A Chien search for any support: the roots are the zero columns of L's
+    coefficients times the Vandermonde matrix on alphas (evaluation_map).
+    """
+    positions = tuple(evaluation_map(alphas, len(L.codes) or 1).zeros(L.codes))
     return positions, tuple(alphas[i] for i in positions)
 
 

@@ -9,10 +9,11 @@ import random
 
 import pytest
 
+from alternant import codes
 from alternant.codes import AlternantCode, CodeError, bch, goppa, grs, prs, rs
 from alternant.demo import DEMO_NAMES, demo_code
 from alternant.galois import extension, prime_field
-from alternant.linalg import Mat, Vec, expand, rank, vandermonde
+from alternant.linalg import Mat, Vec, expand, gauss_jordan, null_space, rank, vandermonde
 
 Z2 = prime_field(2)
 Z7 = prime_field(7)
@@ -165,6 +166,22 @@ def test_generator_rows_are_codewords(name):
         assert C.syndrome(G.row(i)).is_zero
         assert C.is_codeword(G.row(i))
     assert C.generator_matrix() is G  # cached
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bch(gen32, 7),
+    lambda: goppa(F32.poly([1, 0, 1, 1]), Vec(F32, range(1, 32))),
+    lambda: prs(Z13, 5),
+], ids=["bch31", "goppa31", "prs13"])
+def test_dimension_and_generator_share_one_elimination(make, monkeypatch):
+    C = make()
+    eliminated, kernels = [], []
+    monkeypatch.setattr(codes, "gauss_jordan", lambda M: eliminated.append(M) or gauss_jordan(M))
+    monkeypatch.setattr(codes, "null_space", lambda M: kernels.append(M) or null_space(M))
+    assert C.k == C.generator_matrix().nrows
+    assert len(eliminated) == len(kernels) == 1
+    assert gauss_jordan(kernels[0]).rref == kernels[0]  # already reduced: no second elimination
+    assert C.generator_matrix() == null_space(expand(C.H, C.base_field))
 
 
 def test_encode_round_trip():

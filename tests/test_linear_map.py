@@ -5,10 +5,12 @@ operation at a time.  Syndromes, encodings and matrix products are checked
 against it on every demo code, on random codes and matrices over prime
 fields and over extensions of characteristic 2 and 3 on both sides of the
 256-element table limit, and on inputs whose every coordinate is p - 1,
-where the packed slot sums are widest.
+where the packed slot sums are widest.  The zero-column readout is checked
+against it at every slot width, on matrices whose columns cancel on purpose.
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -74,6 +76,59 @@ def test_matrix_products_match_reference_loop(F):
     assert A @ B == Mat(F, [_times(row, B) for row in A.rows])
     assert v @ A == Vec(F, _times(v.codes, A))
     assert B @ Vec(F, v.codes + (1, 2)) == Vec(F, _times(v.codes + (1, 2), B.transpose()))
+
+
+def _with_zero_columns(F, K, nrows, ncols, rng):
+    """A random matrix, an input x over K, and every third column of x @ A made zero.
+
+    Column 0 is zero throughout; the others are zeroed through their last
+    entry, so their slot sums cancel without being empty.
+    """
+    x = [rng.randrange(K.q) for _ in range(nrows - 1)] + [rng.randrange(1, K.q)]
+    cols = []
+    for j in range(ncols):
+        col = [rng.randrange(F.q) for _ in range(nrows)]
+        if j % 3 == 0:
+            col = [0] * nrows if j == 0 else col
+            rest = _dot(F, x[:-1], col[:-1])
+            col[-1] = F.mulc(F.negc(rest), F.invc(x[-1]))
+        cols.append(col)
+    return Mat(F, zip(*cols)), x
+
+
+@pytest.mark.parametrize("F, K, nrows, width", [
+    (F729, Z3, 12, 8),
+    (F25, F25, 10, 16),
+    (Z3, Z3, 70, 16),
+    (Z257, Z257, 9, 32),
+    (F243, F243, 12, 8),
+    (Z65521, Z65521, 3, 64),
+    (F729, F729, 14, 16),
+], ids=str)
+def test_zero_readout_matches_reference_loop_at_every_slot_width(F, K, nrows, width):
+    rng = random.Random(nrows * F.q)
+    A, x = _with_zero_columns(F, K, nrows, 13, rng)
+    times = LinearMap(A, K)
+    assert array(times._typecode).itemsize * 8 == width
+    for y in (x, [0] * nrows, *_inputs(K, nrows, rng)):
+        out = _times(y, A)
+        assert times(y) == out
+        assert times.zeros(y) == [j for j, c in enumerate(out) if c == 0]
+    assert {0, 3, 6, 9, 12} <= set(times.zeros(x))
+
+
+@pytest.mark.parametrize("F", [Z2, F32, F512, extension(Z2, [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1,
+                                                          0, 0, 0, 1])[0]],
+                         ids=lambda F: F.name)
+def test_zero_readout_matches_reference_loop_in_characteristic_2(F):
+    rng = random.Random(F.q)
+    for K in dict.fromkeys((F, Z2)):
+        A, x = _with_zero_columns(F, K, 6, 40, rng)
+        times = LinearMap(A, K)
+        for y in (x, [0] * 6, *_inputs(K, 6, rng)):
+            out = _times(y, A)
+            assert times.zeros(y) == [j for j, c in enumerate(out) if c == 0]
+        assert set(range(0, 40, 3)) <= set(times.zeros(x))
 
 
 def test_map_rejects_a_foreign_input_field():
