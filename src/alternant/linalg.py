@@ -6,7 +6,8 @@ takes the first nonzero entry scanning down the current column, rows are
 processed top-down and columns left-to-right, and there are no tolerances.
 Every vector-times-matrix product, syndromes, encodings and root search
 included, goes through one LinearMap, which reads the matrix as a
-Z_p-linear map on packed integers.
+Z_p-linear map on packed integers.  Over Z_2, Gauss-Jordan packs each row
+into one int as well, so a row operation is one XOR.
 """
 
 from __future__ import annotations
@@ -208,8 +209,11 @@ class LinearMap:
     X^b (b < d) is packed into one int, a w-bit slot per (column, coordinate)
     with the constant coordinate lowest; x @ A is the sum of these rows scaled
     by the coordinates of x.  For p = 2 a slot is one bit and the sum is XOR
-    (bitslicing); zeros(x), the zero columns of x @ A, ORs each column's m
-    bits into its lowest with ceil(log2 m) shift-ORs and reads the clear ones.
+    (bitslicing); the copy times X^(b+1) is the copy times X^b with every
+    slot shifted up a bit and, where a slot's top bit fell out, X^m (the
+    modulus without its leading term) added in.  zeros(x), the zero columns
+    of x @ A, ORs each column's m bits into its lowest with ceil(log2 m)
+    shift-ORs and reads the clear ones.
     For odd p a slot is the first of 8, 16, 32 or 64 bits that holds
     nrows * d * (p-1)^2, the largest slot sum, so no slot carries into the
     next (Kronecker substitution); one to_bytes and a memoryview cast read
@@ -241,8 +245,15 @@ class LinearMap:
             self._typecode = next(c for c in "BHIQ" if array(c).itemsize * 8 >= most)
             self._nbytes = self.ncols * m * array(self._typecode).itemsize
         # _rows[b][i]: row i times X^b, packed
-        self._rows = [[pack(row if b == 0 else [F.mulc(p ** b, c) for c in row]) for row in A.rows]
-                      for b in range(K.m)]
+        self._rows = [[pack(row) for row in A.rows]]
+        if p == 2 and K.m > 1:  # times X, slot by slot
+            top, low = self._low << m - 1, F.mulc(1 << m - 1, 2)  # each slot's top bit; X^m
+            for _ in range(1, K.m):
+                self._rows.append([((r & ~top) << 1) ^ ((r & top) >> m - 1) * low
+                                   for r in self._rows[-1]])
+        else:
+            self._rows += [[pack([F.mulc(p ** b, c) for c in row]) for row in A.rows]
+                           for b in range(1, K.m)]
 
     def __call__(self, codes) -> list[int]:
         """Codes of x @ A, given the codes of x (at most A.nrows, over the input field)."""
@@ -336,13 +347,27 @@ def gauss_jordan(M: Mat) -> GJResult:
     """Reduced row echelon form with deterministic pivoting.
 
     For each column left-to-right the first nonzero entry at or below the
-    current row becomes the pivot; zero rows end up at the bottom.
+    current row becomes the pivot; zero rows end up at the bottom.  Over Z_2
+    a row is one int, bit j holding column j, and a row operation one XOR.
     """
     F = M.field
-    a = [list(r) for r in M.rows]
     nrows, ncols = M.nrows, M.ncols
-    mulc, subc, invc = F.mulc, F.subc, F.invc
     pivots = []
+    if F.q == 2:  # rows to and from binary strings, one translate each way
+        bits, codes = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+        a = [int(bytes(r[::-1]).translate(bits), 2) for r in M.rows]
+        for c in range(ncols):
+            bit, r = 1 << c, len(pivots)
+            pr = next((i for i in range(r, nrows) if a[i] & bit), None)
+            if pr is not None:
+                a[r], a[pr] = a[pr], a[r]
+                prow = a[r]
+                a = [v ^ prow if v & bit and i != r else v for i, v in enumerate(a)]
+                pivots.append(c)
+        rows = (f"{v:0{ncols}b}".encode().translate(codes)[::-1] for v in a)
+        return GJResult(len(pivots), Mat(F, rows, ncols=ncols), tuple(pivots))
+    a = [list(r) for r in M.rows]
+    mulc, subc, invc = F.mulc, F.subc, F.invc
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -403,8 +428,8 @@ def expand(M: Mat, K: Field) -> Mat:
         return M
     if K.m != 1 or K.p != F.p:
         raise TypeError(f"{K.name} is not the prime subfield of {F.name}")
-    return Mat(K, (coords for row in M.rows for coords in zip(*map(F.coords_code, row))),
-               ncols=M.ncols)
+    return Mat(K, (map(mod, map(floordiv, row, repeat(F.p ** b)), repeat(F.p))  # digit b
+                   for row in M.rows for b in range(F.m)), ncols=M.ncols)
 
 
 def null_space(M: Mat) -> Mat:
@@ -416,14 +441,14 @@ def null_space(M: Mat) -> Mat:
     F = M.field
     res = gauss_jordan(M)
     piv = res.pivots
-    free = [j for j in range(M.ncols) if j not in set(piv)]
+    free = sorted(set(range(M.ncols)).difference(piv))
     negc = F.negc
     out = []
     for f in free:
         x = [0] * M.ncols
         x[f] = 1
-        for i, pc in enumerate(piv):
-            x[pc] = negc(res.rref.rows[i][f])
+        for pc, row in zip(piv, res.rref.rows):
+            x[pc] = negc(row[f])
         out.append(x)
     return Mat(F, out, ncols=M.ncols)
 

@@ -131,6 +131,28 @@ def test_zero_readout_matches_reference_loop_in_characteristic_2(F):
         assert set(range(0, 40, 3)) <= set(times.zeros(x))
 
 
+@pytest.mark.parametrize("F", [
+    extension(Z2, [1, 1, 1])[0],
+    extension(Z2, [1, 0, 1, 1, 1, 0, 0, 0, 1])[0],
+    extension(Z2, [1, 0, 0, 0, 1, 0, 0, 0, 0, 1])[0],
+    F512,  # x^9 + x + 1: X has order 73
+    extension(Z2, [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1])[0],
+], ids=lambda F: F.name + "-" + "".join(map(str, F.modulus_codes)))
+def test_times_x_rows_match_reference_loop(F):
+    """Over F itself, x @ A sums row i times X^b wherever bit b of x_i is set.
+
+    With every entry of x equal to q - 1 every copy times X^b enters the sum,
+    and entries with the top coordinate set make the multiply by X reduce.
+    """
+    rng = random.Random(F.q + sum(F.modulus_codes))
+    top = [rng.randrange(F.q // 2, F.q) for _ in range(9)]
+    for A in (Mat(F, [[rng.randrange(F.q) for _ in range(9)] for _ in range(6)]),
+              Mat(F, [top] * 6), Mat(F, [[F.q - 1] * 9] * 6)):
+        times = LinearMap(A, F)
+        for x in ([F.q - 1] * 6, *_inputs(F, 6, rng)):
+            assert times(x) == _times(x, A)
+
+
 def test_map_rejects_a_foreign_input_field():
     A = Mat(F32, [[1, 2]])
     with pytest.raises(TypeError):
