@@ -111,9 +111,9 @@ def build_field(desc) -> Field:
         if modulus.degree != m:
             raise CodeSpecError(
                 f"field.modulus has degree {modulus.degree}, expected m={m}")
-    else:
-        modulus = get_irreducible_polynomial(K, m)
     try:
+        if "modulus" not in desc:
+            modulus = get_irreducible_polynomial(K, m)
         F, _ = extension(K, modulus, gen_label=label)
     except ValueError as ex:
         raise CodeSpecError(f"field.modulus: {ex}") from None

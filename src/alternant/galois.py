@@ -8,23 +8,22 @@ read as a base-p integer.  Enumeration therefore always starts
 
 Internally every element is carried as its canonical integer code, which
 makes the prime-subfield embedding the identity on codes.  Every field
-builds exp/log tables of a primitive element when it is constructed, and
-they carry all multiplication, inversion and powers.  Addition follows the
-shape of the field: XOR of codes in characteristic 2, integers mod p in a
-prime field, Zech logarithms in an extension of odd characteristic.  Fields
-with at most 256 elements also keep addition, negation and multiplication
-tables derived from these, because a direct lookup is the fastest path.
+builds exp/log tables of a primitive element when it is constructed; they
+carry inversion and powers.  The rest of the arithmetic is chosen once, by
+the shape of the field: a prime field adds and multiplies integers mod p;
+an extension multiplies through exp/log and adds by XOR of codes in
+characteristic 2 and by Zech logarithms in odd characteristic.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from operator import pos, xor
 from typing import Iterable, Iterator
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
-_TABLE_MAX = 256          # largest q for which full op tables are built
 _ORDER_CAP = 1 << 20      # largest supported field size
 _PRIME_CAP = 1 << 16      # largest supported characteristic
 
@@ -67,9 +66,9 @@ class Field:
     """A prime field Z_p or an extension F_{p^m}.
 
     Do not call directly; use prime_field() or extension().  Arithmetic on
-    raw integer codes is exposed through addc/subc/negc/mulc/invc/powc and
-    the vector form addv for hot paths; FieldElement wraps a code for
-    operator syntax.  Instances are immutable once built and safe to share.
+    raw integer codes is exposed through addc/subc/negc/mulc/invc/powc;
+    FieldElement wraps a code for operator syntax.  Instances are immutable
+    once built and safe to share.
 
     exp[k] is the code of g^k for a primitive element g, the generator when
     it is primitive, for 0 <= k < 2(q-1), so exp[log[a] + log[b]] needs no
@@ -79,7 +78,7 @@ class Field:
 
     __slots__ = (
         "p", "m", "q", "modulus_codes", "gen_label", "name",
-        "exp", "log", "_zech", "_add", "_neg", "_mul",
+        "exp", "log", "addc", "subc", "negc", "mulc",
         "zero", "one",
     )
 
@@ -92,10 +91,7 @@ class Field:
         self.gen_label = gen_label
         self.name = f"Z{p}" if self.m == 1 else f"F{self.q}"
         self.exp, self.log = self._power_tables()
-        self._zech = self._zech_table() if p > 2 and self.m > 1 else None
-        self._add = self._neg = self._mul = None
-        if self.q <= _TABLE_MAX:
-            self._build_tables()
+        self.addc, self.subc, self.negc, self.mulc = self._arithmetic()
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
 
@@ -179,21 +175,46 @@ class Field:
             table.extend(row)
         return table
 
-    def _zech_table(self) -> array:
-        """zech[k] = log(1 + g^k), or 0 where 1 + g^k = 0 (log 1 = 0 is never a Zech value)."""
-        p, log = self.p, self.log
-        # log1[c] = log(1 + c): 1 + c increments the constant digit of c, wrapping p - 1 to 0
-        log1 = log[1:] + log[:1]
-        log1[p - 1::p] = log[::p]
-        return array("i", map(log1.__getitem__, self.exp[:self.q - 1]))
+    def _arithmetic(self) -> tuple:
+        """addc, subc, negc and mulc on codes, chosen here once by the field's shape."""
+        p, exp, log = self.p, self.exp, self.log
+        if self.m == 1:
+            return ((lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p),
+                    (lambda a: -a % p), (lambda a, b: a * b % p))
 
-    def _build_tables(self):
-        """q x q lookup tables from exp/log; add and neg go through the ops while unset."""
-        r, exp, logs = range(self.q), self.exp, self.log[1:]
-        add = [[self.addc(a, b) for b in r] for a in r]
-        neg = [self.negc(a) for a in r]
-        mul = [[0] * self.q] + [[0] + [exp[i + j] for j in logs] for i in logs]
-        self._add, self._neg, self._mul = add, neg, mul
+        def mulc(a: int, b: int) -> int:
+            return exp[log[a] + log[b]] if a and b else 0
+
+        if p == 2:
+            return xor, xor, pos, mulc
+        # a + b = a (1 + g^(log b - log a)); zech[k] = log(1 + g^k), or 0 where
+        # 1 + g^k = 0, over two periods so every log difference below indexes it
+        log1 = log[1:] + log[:1]  # log(1 + c): 1 + c bumps the constant digit,
+        log1[p - 1::p] = log[::p]  # wrapping p - 1 to 0
+        zech = array("i", map(log1.__getitem__, exp))
+        half = (self.q - 1) // 2  # -1 = g^half
+
+        def addc(a: int, b: int) -> int:
+            if not a or not b:
+                return a or b
+            la = log[a]
+            z = zech[log[b] - la]
+            return exp[la + z] if z else 0
+
+        def subc(a: int, b: int) -> int:
+            if not b:
+                return a
+            lb = log[b] + half  # log(-b)
+            if not a:
+                return exp[lb]
+            la = log[a]
+            z = zech[lb - la]
+            return exp[la + z] if z else 0
+
+        def negc(a: int) -> int:
+            return exp[log[a] + half] if a else 0
+
+        return addc, subc, negc, mulc
 
     def coords_code(self, code: int) -> list[int]:
         """Coordinates of a code over the prime subfield, constant first."""
@@ -207,46 +228,6 @@ class Field:
 
     # -- integer-code arithmetic ----------------------------------------------
 
-    def addc(self, a: int, b: int) -> int:
-        t = self._add
-        if t is not None:
-            return t[a][b]
-        if self.p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % self.p
-        if not a or not b:
-            return a or b
-        # a + b = a (1 + g^(lb - la)); a negative index wraps mod q - 1
-        log = self.log
-        z = self._zech[log[b] - log[a]]
-        return self.exp[log[a] + z] if z else 0
-
-    def negc(self, a: int) -> int:
-        t = self._neg
-        if t is not None:
-            return t[a]
-        if self.p == 2 or not a:
-            return a
-        if self.m == 1:
-            return self.p - a
-        return self.exp[self.log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
-
-    def subc(self, a: int, b: int) -> int:
-        t = self._add
-        if t is not None:
-            return t[a][self._neg[b]]
-        return self.addc(a, self.negc(b))
-
-    def mulc(self, a: int, b: int) -> int:
-        t = self._mul
-        if t is not None:
-            return t[a][b]
-        if a and b:
-            log = self.log
-            return self.exp[log[a] + log[b]]
-        return 0
-
     def invc(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
@@ -258,14 +239,6 @@ class Field:
                 raise ZeroDivisionError(f"division by zero in {self.name}")
             return 0 if e else 1
         return self.exp[self.log[a] * e % (self.q - 1)]
-
-    def addv(self, xs: Iterable[int], ys: Iterable[int]) -> tuple[int, ...]:
-        """Coordinatewise sum of two code vectors."""
-        t = self._add
-        if t is not None:
-            return tuple([t[a][b] for a, b in zip(xs, ys)])
-        addc = self.addc
-        return tuple([addc(a, b) for a, b in zip(xs, ys)])
 
     # -- element-level API ----------------------------------------------------
 
@@ -553,7 +526,8 @@ def get_irreducible_polynomial(K: Field, m: int) -> "Poly":
     """First monic irreducible of degree m over the prime field K.
 
     Candidates are scanned in canonical order: the lower coefficient tuple
-    (c_0, ..., c_{m-1}) read as a base-p integer, ascending.
+    (c_0, ..., c_{m-1}) read as a base-p integer, ascending.  A degree whose
+    field would exceed 2^20 elements is refused before any search.
     """
     if K.m != 1:
         raise ValueError(f"{K.name} is not a prime field")
@@ -562,6 +536,8 @@ def get_irreducible_polynomial(K: Field, m: int) -> "Poly":
     if m == 1:
         return K.poly([0, 1])
     p = K.p
+    if m >= _ORDER_CAP.bit_length() or p ** m > _ORDER_CAP:  # p^m >= 2^m, so p ** m stays small
+        raise ValueError(f"field size {p}^{m} exceeds the cap 2^20")
     for idx in range(p ** m):
         f = Poly(K, tuple(_base_p(idx, p, m)) + (1,))
         if _find_monic_factor(f) is None:
@@ -687,12 +663,13 @@ class Poly:
         if not a or not b:
             return Poly(F, ())
         out = [0] * (len(a) + len(b) - 1)
-        mulc, addc = F.mulc, F.addc
+        exp, log, addc = F.exp, F.log, F.addc
+        logs_b = [(j, log[y]) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = addc(out[i + j], mulc(x, y))
+                lx = log[x]
+                for j, ly in logs_b:
+                    out[i + j] = addc(out[i + j], exp[lx + ly])
         return Poly(F, out)
 
     __rmul__ = __mul__
@@ -739,11 +716,13 @@ class Poly:
 
     def at(self, x: int) -> int:
         """Code of the value at the element with code x, by Horner's rule."""
+        if not x:
+            return self.codes[0] if self.codes else 0
         F = self.field
+        exp, log, addc, lx = F.exp, F.log, F.addc, F.log[x]
         acc = 0
-        mulc, addc = F.mulc, F.addc
         for c in reversed(self.codes):
-            acc = addc(mulc(acc, x), c)
+            acc = addc(exp[log[acc] + lx], c) if acc else c
         return acc
 
     def __call__(self, x) -> FieldElement:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, repeat
 from operator import and_, floordiv, mod, mul, xor
 from typing import Iterable, NamedTuple
@@ -229,11 +229,7 @@ class LinearMap:
         p, m = F.p, F.m
         self.field, self.nrows, self.ncols = F, A.nrows, A.ncols
         if p == 2:
-            def pack(row):
-                acc = 0
-                for c in reversed(row):  # a code's bits already sit one per slot
-                    acc = acc << m | c
-                return acc
+            pack = partial(_pack_bits, m=m)  # a code's bits already sit one per slot
             # shift-ORs that take bits 0..m-1 of each column into bit 0, covering 1, 2, 4, ..., m
             self._folds = [min(1 << i, m - (1 << i)) for i in range((m - 1).bit_length())]
             self._low = int(("0" * (m - 1) + "1") * self.ncols, 2)
@@ -295,6 +291,19 @@ class LinearMap:
         return sum(sum(map(mul, scale, rows)) for scale, rows in zip(digits, self._rows))
 
 
+_TO_DIGITS, _TO_CODES = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack_bits(row, m: int = 1) -> int:
+    """A row of m-bit codes as one int, code j in bits jm to jm + m - 1."""
+    if m == 1:  # one translate to a binary string
+        return int(bytes(row[::-1]).translate(_TO_DIGITS), 2)
+    acc = 0
+    for c in reversed(row):
+        acc = acc << m | c
+    return acc
+
+
 def _check_same_field(a: Field, b: Field):
     if a != b:
         raise TypeError(f"mixed fields: {a.name} and {b.name}")
@@ -354,8 +363,7 @@ def gauss_jordan(M: Mat) -> GJResult:
     nrows, ncols = M.nrows, M.ncols
     pivots = []
     if F.q == 2:  # rows to and from binary strings, one translate each way
-        bits, codes = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
-        a = [int(bytes(r[::-1]).translate(bits), 2) for r in M.rows]
+        a = [_pack_bits(r) for r in M.rows]
         for c in range(ncols):
             bit, r = 1 << c, len(pivots)
             pr = next((i for i in range(r, nrows) if a[i] & bit), None)
@@ -364,10 +372,10 @@ def gauss_jordan(M: Mat) -> GJResult:
                 prow = a[r]
                 a = [v ^ prow if v & bit and i != r else v for i, v in enumerate(a)]
                 pivots.append(c)
-        rows = (f"{v:0{ncols}b}".encode().translate(codes)[::-1] for v in a)
+        rows = (f"{v:0{ncols}b}".encode().translate(_TO_CODES)[::-1] for v in a)
         return GJResult(len(pivots), Mat(F, rows, ncols=ncols), tuple(pivots))
     a = [list(r) for r in M.rows]
-    mulc, subc, invc = F.mulc, F.subc, F.invc
+    exp, log, addc, negc, n = F.exp, F.log, F.addc, F.negc, F.q - 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -376,14 +384,18 @@ def gauss_jordan(M: Mat) -> GJResult:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = invc(a[r][c])
-        if inv != 1:
-            a[r] = [mulc(inv, v) for v in a[r]]
+        # the pivot row is zero left of c; logs of its entries right of c,
+        # scaled to a leading 1, with -1 marking a zero
         prow = a[r]
+        lead = n - log[prow[c]]
+        logs = [(log[v] + lead) % n if v else -1 for v in prow[c + 1:]]
+        prow[c], prow[c + 1:] = 1, [exp[k] if k >= 0 else 0 for k in logs]
         for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [subc(v, mulc(f, pv)) for v, pv in zip(a[i], prow)]
+            row = a[i]
+            if i != r and row[c]:  # row minus f times the pivot row, as one -f
+                lf = log[negc(row[c])]
+                row[c], row[c + 1:] = 0, map(addc, row[c + 1:],
+                                             [exp[lf + k] if k >= 0 else 0 for k in logs])
         pivots.append(c)
         r += 1
     return GJResult(r, Mat(F, a, ncols=ncols), tuple(pivots))

@@ -1,9 +1,11 @@
 """Brute-force reference checks, independent of the algebraic decoders.
 
 These enumerate error patterns or whole codes directly from the syndrome
-definition, so they are slow but trustworthy.  Every enumeration is bounded
-by an explicit budget that is checked before any work starts; refusing to
-run is an error, never a silent pass.
+definition, so they are slow but trustworthy.  The decoding oracle looks up
+the last error of each pattern by the syndrome left for it, the collision
+idea of Stern's information-set decoding (1988).  Every enumeration is
+bounded by an explicit budget that is checked before any work starts;
+refusing to run is an error, never a silent pass.
 """
 
 from __future__ import annotations
@@ -49,11 +51,14 @@ def brute_force_decode(C: AlternantCode, y, t_max: int,
                        budget: OracleBudget | None = None):
     """Smallest-weight error pattern e with syndrome(y - e) = 0, by enumeration.
 
-    Scans weights ascending; within a weight, positions lexicographically and
-    values in canonical field order.  Returns the unique minimal e as a Vec,
+    Scans weights ascending.  Within weight w, the first w - 1 positions are
+    scanned lexicographically and their values in canonical field order,
+    each error's syndrome subtracted from y's; the last error is looked up
+    by the syndrome that is left, in a table of all single errors, among
+    the positions past the prefix.  Returns the unique minimal e as a Vec,
     AMBIGUOUS if several exist at the minimal weight, or NOT_FOUND if no
     pattern of weight <= t_max works.  The budget is enforced up front from
-    the predicted candidate count.
+    the predicted candidate count of the full enumeration.
     """
     budget = budget or OracleBudget()
     K = C.base_field
@@ -72,46 +77,42 @@ def brute_force_decode(C: AlternantCode, y, t_max: int,
         return Vec(K, [0] * C.n)
 
     F = C.ext_field
-    n, r, qm1 = C.n, C.r, K.q - 1
-    # contribution of value v at position i is v times column i of H;
-    # candidate syndromes are sums of w of these.
-    contrib = []
-    for i in range(n):
-        col = [C.H.rows[j][i] for j in range(r)]
-        contrib.append([None] + [tuple(F.mulc(v, hc) for hc in col)
-                                 for v in range(1, K.q)])
-
-    addv = F.addv
-    zero = (0,) * r
+    # the syndrome of value v alone at position i is v times column i of H;
+    # singles maps each such syndrome to every (i, v) giving it, ascending
+    # (with r = 1 several positions can share one).
+    contrib = [[tuple(F.mulc(v, hc) for hc in col) for v in range(1, K.q)]
+               for col in zip(*C.H.rows)]
+    singles: dict[tuple, list] = {}
+    for i, per_value in enumerate(contrib):
+        for v, s in enumerate(per_value, 1):
+            singles.setdefault(s, []).append((i, v))
+    subc = F.subc
     deadline = time.monotonic() + budget.max_seconds
 
     for w in range(1, t_max + 1):
         found: list[tuple] = []
-        for pos in combinations(range(n), w):
+        for pos in combinations(range(C.n), w - 1):
             if time.monotonic() > deadline:
                 raise BudgetExceeded(
                     f"wall clock exceeded max_seconds={budget.max_seconds}")
-            vals = [0] * w
+            last = pos[-1] if pos else -1
 
-            def walk(depth: int, acc: tuple) -> None:
+            def walk(depth: int, rest: tuple, vals: tuple) -> None:
                 if len(found) > 1:
                     return
-                if depth == w:
-                    if acc == target:
-                        found.append((pos, tuple(vals)))
+                if depth == w - 1:
+                    found.extend((pos + (i,), vals + (v,))
+                                 for i, v in singles.get(rest, ()) if i > last)
                     return
-                per_value = contrib[pos[depth]]
-                for v in range(1, qm1 + 1):
-                    vals[depth] = v
-                    walk(depth + 1, addv(acc, per_value[v]))
+                for v, s in enumerate(contrib[pos[depth]], 1):
+                    walk(depth + 1, tuple(map(subc, rest, s)), vals + (v,))
 
-            walk(0, zero)
+            walk(0, target, ())
             if len(found) > 1:
                 return AMBIGUOUS
         if found:
-            pos, vv = found[0]
-            codes = [0] * n
-            for p, v in zip(pos, vv):
+            codes = [0] * C.n
+            for p, v in zip(*found[0]):
                 codes[p] = v
             return Vec(K, codes)
     return NOT_FOUND

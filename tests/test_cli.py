@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -354,4 +355,16 @@ def test_module_entry_point_passes_exit_status(tmp_path):
     proc = _run_alternant(["params", "--code", "missing.json"], tmp_path)
     assert proc.returncode == EXIT_SPEC_ERROR
     assert proc.stderr.startswith("alternant:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_oversized_field_exits_3_at_once(tmp_path):
+    # p^m far over the 2^20 cap, with no modulus: refused before any search
+    (tmp_path / "big.json").write_text(
+        json.dumps({"kind": "PRS", "field": {"p": 2, "m": 40}, "k": 3}))
+    t0 = time.perf_counter()
+    proc = _run_alternant(["params", "--code", "big.json"], tmp_path)
+    assert time.perf_counter() - t0 < 2.0
+    assert proc.returncode == EXIT_SPEC_ERROR
+    assert "exceeds the cap" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -38,7 +38,8 @@ F25, gen25 = extension(Z5, [3, 0, 1], gen_label="x")
 F32, gen32 = extension(Z2, [1, 0, 1, 0, 0, 1])
 F243, gen243 = extension(Z3, [1, 2, 0, 0, 0, 1])
 
-# Fields above the 256-element table limit: exp/log (and Zech for odd p) only.
+# Fields of more than 256 elements; in F512-x73 and F2187-x1093 the generator
+# X is not primitive (its order is in the id), so exp/log walk another element.
 F512_MODULUS = [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]  # x^9 + x^4 + 1, X primitive
 LARGE = [
     pytest.param(extension(Z2, F512_MODULUS)[0], id="F512"),
@@ -124,7 +125,13 @@ def _reference(F):
     return (lambda a, b: code(poly(a) + poly(b))), (lambda a, b: code(poly(a) * poly(b) % f))
 
 
-@pytest.mark.parametrize("F", LARGE)
+SMALL = [pytest.param(F, id=F.name) for F in (
+    Z2, Z3, Z13, extension(Z2, [1, 1, 1])[0], extension(Z3, [1, 0, 1])[0], F25, F32,
+    extension(Z3, get_irreducible_polynomial(Z3, 4))[0], F243,
+    extension(Z2, get_irreducible_polynomial(Z2, 8))[0])]
+
+
+@pytest.mark.parametrize("F", SMALL + LARGE)
 def test_arithmetic_matches_coordinate_reference(F):
     add, mul = _reference(F)
     rng = random.Random(2024)
@@ -134,6 +141,7 @@ def test_arithmetic_matches_coordinate_reference(F):
         assert F.mulc(a, b) == mul(a, b)
         assert add(F.negc(b), b) == 0
         assert add(F.subc(a, b), b) == a
+        assert F.subc(0, b) == F.negc(b)
         if a:
             assert mul(a, F.invc(a)) == 1
         e = rng.randrange(-2 * F.q, 2 * F.q)
@@ -152,7 +160,6 @@ def test_arithmetic_matches_coordinate_reference(F):
     for x, y in zip(xs, ys):
         ref = add(ref, mul(x, y))
     assert LinearMap(Mat(F, [[y] for y in ys]), F)(xs) == [ref]
-    assert F.addv(xs, ys) == tuple(add(x, y) for x, y in zip(xs, ys))
 
 
 def test_field_with_low_order_generator_builds_fast():
@@ -317,6 +324,11 @@ def test_get_irreducible_preconditions():
         get_irreducible_polynomial(F25, 2)
     with pytest.raises(ValueError):
         get_irreducible_polynomial(Z3, 0)
+    # over the field-size cap: refused before any trial division
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        get_irreducible_polynomial(Z2, 40)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        get_irreducible_polynomial(Z3, 10 ** 9)
 
 
 # -- subfield projection ------------------------------------------------------

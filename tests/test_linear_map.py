@@ -3,8 +3,8 @@
 _dot is the loop Field.dot ran: a sum of products of paired codes, one field
 operation at a time.  Syndromes, encodings and matrix products are checked
 against it on every demo code, on random codes and matrices over prime
-fields and over extensions of characteristic 2 and 3 on both sides of the
-256-element table limit, and on inputs whose every coordinate is p - 1,
+fields and over extensions of characteristic 2 and 3 of up to 256 elements
+and beyond, and on inputs whose every coordinate is p - 1,
 where the packed slot sums are widest.  The zero-column readout is checked
 against it at every slot width, on matrices whose columns cancel on purpose.
 """
