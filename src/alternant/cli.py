@@ -216,8 +216,7 @@ def cmd_demo(args) -> int:
 def _random_received(C: AlternantCode, w: int, rng: random.Random) -> tuple[Vec, Vec]:
     """A random codeword and that codeword plus a random weight-w error."""
     K = C.base_field
-    msg = [rng.randrange(K.q) for _ in range(C.k)]
-    c = C.encode(msg)
+    c = C.encode(Vec(K, [rng.randrange(K.q) for _ in range(C.k)]))
     return c, c + random_error_vector(K, C.n, w, rng)
 
 

@@ -4,6 +4,10 @@ Everything is over a Field from .galois and carried as tuples of canonical
 integer codes, so results are reproducible bit for bit: pivoting always
 takes the first nonzero entry scanning down the current column, rows are
 processed top-down and columns left-to-right, and there are no tolerances.
+Every elimination over a field other than Z_2 is one forward pass to row
+echelon form (_eliminate), then either a back-substitution of the one
+column the caller needs (gj_locator, solve_square) or a bottom-up pass that
+clears above each pivot (gauss_jordan's reduced form).
 Every vector-times-matrix product, syndromes, encodings and root search
 included, goes through one LinearMap, which reads the matrix as a
 Z_p-linear map on packed integers.  Over Z_2, Gauss-Jordan packs each row
@@ -343,7 +347,7 @@ def hankel_matrix(s: Vec, t: int) -> Mat:
         raise ValueError(f"need t >= 1, got {t}")
     if len(s) < 2 * t:
         raise ValueError(f"need at least {2 * t} syndrome entries, got {len(s)}")
-    return Mat(s.field, ((s.codes[i + j] for j in range(t + 1)) for i in range(t)))
+    return Mat(s.field, (s.codes[i:i + t + 1] for i in range(t)))
 
 
 class GJResult(NamedTuple):
@@ -358,6 +362,8 @@ def gauss_jordan(M: Mat) -> GJResult:
     For each column left-to-right the first nonzero entry at or below the
     current row becomes the pivot; zero rows end up at the bottom.  Over Z_2
     a row is one int, bit j holding column j, and a row operation one XOR.
+    Over other fields the forward pass (_eliminate) leaves row echelon form
+    and the pivots, last first, clear their columns in the rows above.
     """
     F = M.field
     nrows, ncols = M.nrows, M.ncols
@@ -375,30 +381,66 @@ def gauss_jordan(M: Mat) -> GJResult:
         rows = (f"{v:0{ncols}b}".encode().translate(_TO_CODES)[::-1] for v in a)
         return GJResult(len(pivots), Mat(F, rows, ncols=ncols), tuple(pivots))
     a = [list(r) for r in M.rows]
-    exp, log, addc, negc, n = F.exp, F.log, F.addc, F.negc, F.q - 1
-    r = 0
+    pivots = _eliminate(F, a, ncols)
+    for r in range(len(pivots) - 1, 0, -1):  # bottom-up: clear above each pivot
+        _clear(F, a[r], pivots[r], a[:r])
+    return GJResult(len(pivots), Mat(F, a, ncols=ncols), tuple(pivots))
+
+
+def _eliminate(F: Field, a: list[list[int]], ncols: int) -> list[int]:
+    """Forward elimination of the rows a, in place; returns the pivot columns.
+
+    For each column left-to-right the first nonzero entry at or below the
+    current row becomes the pivot, its row is scaled to a leading 1 and
+    cleared from the rows below.  Rows above a pivot keep their entries in
+    its column, so a is in row echelon form: the rows at and below each
+    pivot are those Gauss-Jordan has at that step, and rank and pivot
+    columns agree with gauss_jordan's.
+    """
+    exp, log, n, nrows, pivots = F.exp, F.log, F.q - 1, len(a), []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
+        pr = r if a[r][c] else next((i for i in range(r + 1, nrows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        # the pivot row is zero left of c; logs of its entries right of c,
-        # scaled to a leading 1, with -1 marking a zero
         prow = a[r]
         lead = n - log[prow[c]]
-        logs = [(log[v] + lead) % n if v else -1 for v in prow[c + 1:]]
-        prow[c], prow[c + 1:] = 1, [exp[k] if k >= 0 else 0 for k in logs]
-        for i in range(nrows):
-            row = a[i]
-            if i != r and row[c]:  # row minus f times the pivot row, as one -f
-                lf = log[negc(row[c])]
-                row[c], row[c + 1:] = 0, map(addc, row[c + 1:],
-                                             [exp[lf + k] if k >= 0 else 0 for k in logs])
+        prow[c:] = [exp[log[v] + lead] if v else 0 for v in prow[c:]]
+        _clear(F, prow, c, a[r + 1:])
         pivots.append(c)
-        r += 1
-    return GJResult(r, Mat(F, a, ncols=ncols), tuple(pivots))
+    return pivots
+
+
+def _clear(F: Field, prow: list[int], c: int, rows) -> None:
+    """Subtract from each row its entry in column c times prow, whose entry there is 1.
+
+    prow is zero left of c; the logs of -prow right of c are taken once (-1
+    marking a zero), so each row operation adds f times -prow: one log
+    lookup plus one map(addc, ...) over the columns right of c.
+    """
+    exp, log, addc, n = F.exp, F.log, F.addc, F.q - 1
+    neg = log[F.negc(1)]
+    logs = [(log[v] + neg) % n if v else -1 for v in prow[c + 1:]]
+    for row in rows:
+        if f := row[c]:
+            lf = log[f]
+            row[c], row[c + 1:] = 0, map(addc, row[c + 1:],
+                                         [exp[lf + k] if k >= 0 else 0 for k in logs])
+
+
+def _back_substitute(F: Field, a: list[list[int]], l: int) -> list[int]:
+    """Column l of the reduced form of echelon rows a whose pivots are columns 0..l-1.
+
+    Row i of the reduced form is a[i] minus a[i][k] times reduced row k for
+    each pivot k > i, so its entry in column l needs only the entries below.
+    """
+    x = [0] * l
+    for i in range(l - 1, -1, -1):
+        x[i] = reduce(F.subc, map(F.mulc, a[i][i + 1:l], x[i + 1:]), a[i][l])
+    return x
 
 
 def rank(M: Mat) -> int:
@@ -412,20 +454,22 @@ def gj_locator(S: Mat) -> Vec:
     in columns 0..l-1; rows 0..l-1 of column l then hold
     (-a_l, ..., -a_1), where z^l + a_1 z^(l-1) + ... + a_l is the error
     locator.  Any other pivot layout (including rank 0) raises
-    MalformedSyndromeStructure.
+    MalformedSyndromeStructure.  Only column l of the reduced form is
+    needed, so it is back-substituted on the forward pass's echelon rows.
     """
-    res = gauss_jordan(S)
-    l = res.rank
+    a = [list(r) for r in S.rows]
+    pivots = _eliminate(S.field, a, S.ncols)
+    l = len(pivots)
     if l == 0:
         raise MalformedSyndromeStructure(
             "syndrome Hankel matrix reduced to rank 0")
-    if res.pivots != tuple(range(l)):
+    if pivots != list(range(l)):
         raise MalformedSyndromeStructure(
-            f"pivot columns {res.pivots} deviate from (0..{l - 1})")
+            f"pivot columns {tuple(pivots)} deviate from (0..{l - 1})")
     if l >= S.ncols:
         raise MalformedSyndromeStructure(
             f"rank {l} leaves no locator column in a {S.nrows}x{S.ncols} matrix")
-    return Vec(S.field, (res.rref.rows[i][l] for i in range(l)))
+    return Vec(S.field, _back_substitute(S.field, a, l))
 
 
 def expand(M: Mat, K: Field) -> Mat:
@@ -466,16 +510,15 @@ def null_space(M: Mat) -> Mat:
 
 
 def solve_square(A: Mat, b: Vec) -> Vec:
-    """Solve A x = b for square A by Gauss-Jordan on the augmented matrix."""
+    """Solve A x = b for square A: forward elimination of the augmented matrix,
+    then back-substitution of its last column."""
     _check_same_field(A.field, b.field)
     n = A.nrows
     if A.ncols != n:
         raise ValueError(f"matrix is {A.shape}, not square")
     if len(b) != n:
         raise ValueError(f"right-hand side has length {len(b)}, expected {n}")
-    aug = Mat(A.field, (row + (bc,) for row, bc in zip(A.rows, b.codes)),
-              ncols=n + 1)
-    res = gauss_jordan(aug)
-    if res.rank != n or res.pivots != tuple(range(n)):
+    a = [list(row) + [bc] for row, bc in zip(A.rows, b.codes)]
+    if _eliminate(A.field, a, n + 1) != list(range(n)):
         raise SingularSystem(f"{n}x{n} system is singular")
-    return Vec(A.field, (res.rref.rows[i][n] for i in range(n)))
+    return Vec(A.field, _back_substitute(A.field, a, n))

@@ -4,8 +4,10 @@ pgz and pgzm run one pipeline and differ only in the value stage:
 
   1. s = y @ H^T; an all-zero syndrome means y is already a codeword.
   2. S = the t x (t+1) Hankel matrix of s_0..s_{2t-1}; its rank l is the
-     number of errors, and Gauss-Jordan reduction hands over the locator
-     coefficients for free (gj_locator).
+     number of errors.  One forward elimination gives l and the pivot
+     columns, and a back-substitution of column l gives the locator
+     coefficients, the column Gauss-Jordan reduction would leave there
+     (gj_locator).
   3. L(z) = z^l + a_1 z^(l-1) + ... + a_l; its roots among the support
      entries give the error positions, all found in one packed product of
      L's coefficients and the Vandermonde matrix on the support (locate).
@@ -97,16 +99,17 @@ def error_evaluator(sigma: Poly, locator_reciprocal: Poly, r: int) -> Poly:
     return (locator_reciprocal * sigma).truncated(r)
 
 
-def forney(m: int, C: AlternantCode, E: Poly, locator_reciprocal: Poly) -> FieldElement:
+def forney(m: int, C: AlternantCode, E: Poly, reciprocal_derivative: Poly) -> FieldElement:
     """Error value at support index m from the evaluator polynomial.
 
-    e_m = - alpha_m E(1/alpha_m) / (h_m * Lrec'(1/alpha_m)).
+    e_m = - alpha_m E(1/alpha_m) / (h_m * Lrec'(1/alpha_m)), where
+    reciprocal_derivative is Lrec', the derivative of the reciprocal locator.
     """
     F = C.ext_field
     am = C.alpha.codes[m]
     x = F.invc(am)
     num = F.mulc(am, E.at(x))
-    den = F.mulc(C.h.codes[m], locator_reciprocal.derivative().at(x))
+    den = F.mulc(C.h.codes[m], reciprocal_derivative.at(x))
     return FieldElement(F, F.negc(F.mulc(num, F.invc(den))))
 
 
@@ -198,18 +201,21 @@ def _decode(y, C: AlternantCode, alg: str) -> DecodeReport:
     # column l of the reduced Hankel matrix reads (-a_l, ..., -a_1); negating
     # gives the locator's ascending coefficients below the leading 1.
     rep.locator_poly = L = Poly(F, tuple(F.negc(c) for c in neg_rev.codes) + (1,))
-    rep.positions, rep.locators = positions, locators = locate(L, C.alpha)
+    rep.positions, rep.locators = locate(L, C.alpha)
+    positions = rep.positions
     if len(positions) < l:
         return _fail(rep, FailureReason.DEFECTIVE_ERROR_LOCATION)
 
     if alg == "PGZ":
         L_rec = L.reciprocal()
         E = error_evaluator(Poly(F, s.codes), L_rec, C.r)
-        ext_values = [forney(m, C, E, L_rec) for m in positions]
+        dL_rec = L_rec.derivative()
+        ext_values = [forney(m, C, E, dL_rec) for m in positions]
     else:
         E = None
-        A = Mat(F, ((F.mulc(C.h.codes[m], F.powc(eta.code, i)) for m, eta in
-                     zip(positions, locators)) for i in range(l)))
+        # entry (i, j) is h_m eta^i for the j-th position m and its locator
+        # eta = alpha_m: entry (i, m) of the control matrix H, so no arithmetic
+        A = Mat(F, ([row[m] for m in positions] for row in C.H.rows[:l]))
         try:
             ext_values = solve_square(A, s[:l])
         except SingularSystem:

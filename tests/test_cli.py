@@ -263,6 +263,12 @@ def test_bench(capsys):
     assert out.count(" pgz ") + out.count("pgz ") >= 2  # rows per weight
 
 
+def test_bench_over_an_extension_field_base(capsys):
+    # messages are codes over F32, not element tokens: 24 alone is ambiguous there
+    assert main(["bench", "--code", "grs32", "--trials", "3"]) == EXIT_OK
+    assert "equivalence: OK (9 paired trials)" in capsys.readouterr().out
+
+
 def test_trials_must_be_positive(capsys):
     # a run of no trials checks nothing, so it must not report OK
     for argv in (["bench", "--code", "prs13", "--trials", "0"],
@@ -289,6 +295,12 @@ def test_selftest(capsys):
 def test_selftest_budget_refusal(capsys):
     assert main(["selftest", "--code", "prs31", "--trials", "1"]) == EXIT_BUDGET
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_selftest_over_an_extension_field_base_reaches_the_budget(capsys):
+    assert main(["selftest", "--code", "grs32", "--trials", "1"]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "budget exceeded" in err and "Traceback" not in err
 
 
 # -- vector line parsing ------------------------------------------------------
