@@ -8,7 +8,10 @@ the codespec module for the file layout.
 Vector streams are one vector per line: bracketed, comma-separated element
 tokens, e.g. "[0, 0, 3, 0]" or "[a**5, 1, 0]".  A trailing ":: Vector[...]"
 tag is accepted and ignored on input.  Blank lines and lines starting with
-'#' are skipped.
+'#' are skipped.  Streams are read and answered a line at a time: a line that
+does not parse, has the wrong length or holds bytes that are not UTF-8 ends
+the run with exit 3 and its line number, after the answers to the lines
+before it.
 
 Exit codes: 0 success; 1 demo/selftest/bench mismatch; 2 decode failure;
 3 bad description, arguments or input; 4 oracle budget exceeded.
@@ -17,6 +20,7 @@ Exit codes: 0 success; 1 demo/selftest/bench mismatch; 2 decode failure;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import statistics
 import sys
@@ -92,30 +96,32 @@ def parse_vector_line(K: Field, line: str) -> Vec:
     return Vec.of(K, tokens)
 
 
-def _read_vectors(K: Field, fh) -> list[Vec]:
-    out = []
-    for lineno, line in enumerate(fh, 1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        try:
-            out.append(parse_vector_line(K, s))
-        except (TypeError, ValueError) as ex:
-            raise CodeSpecError(f"line {lineno}: {ex}") from None
-    return out
+def _open(path: str, mode: str):
+    if path != "-":
+        return open(path, mode, encoding="utf-8")
+    return contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
 
 
-def _open_in(path: str):
-    return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+def _stream(args, K: Field, handle) -> None:
+    """Pass each vector of --in to handle and print its answer to --out.
 
-
-def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
-
-
-def _close(fh):
-    if fh not in (sys.stdin, sys.stdout):
-        fh.close()
+    handle returns None for a word with no answer.  A TypeError or ValueError
+    from parsing or from handle becomes a CodeSpecError naming the line.
+    Bytes that are not UTF-8 reach the parser escaped, so they fail there.
+    """
+    with _open(args.infile, "r") as fin, _open(args.outfile, "w") as fout:
+        if hasattr(fin, "reconfigure"):
+            fin.reconfigure(errors="surrogateescape")
+        for lineno, line in enumerate(fin, 1):
+            s = line.strip()
+            if not s or s.startswith("#"):
+                continue
+            try:
+                answer = handle(parse_vector_line(K, s))
+            except (TypeError, ValueError) as ex:
+                raise CodeSpecError(f"line {lineno}: {ex}") from None
+            if answer is not None:
+                print(answer, file=fout)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -142,16 +148,13 @@ def cmd_params(args) -> int:
 
 def cmd_encode(args) -> int:
     C = _resolve_code(args.code)
-    fin, fout = _open_in(args.infile), _open_out(args.outfile)
-    try:
-        for msg in _read_vectors(C.base_field, fin):
-            if len(msg) != C.k:
-                raise CodeSpecError(
-                    f"message has {len(msg)} symbols, expected k={C.k}")
-            print(C.encode(msg), file=fout)
-    finally:
-        _close(fin)
-        _close(fout)
+
+    def encode(msg):
+        if len(msg) != C.k:
+            raise CodeSpecError(f"message has {len(msg)} symbols, expected k={C.k}")
+        return C.encode(msg)
+
+    _stream(args, C.base_field, encode)
     return EXIT_OK
 
 
@@ -162,16 +165,13 @@ def cmd_corrupt(args) -> int:
     if not 0 <= w <= C.n:
         raise CodeSpecError(f"weight {w} outside [0, {C.n}]")
     rng = random.Random(args.seed)
-    fin, fout = _open_in(args.infile), _open_out(args.outfile)
-    try:
-        for word in _read_vectors(K, fin):
-            if len(word) != C.n:
-                raise CodeSpecError(
-                    f"word has {len(word)} symbols, expected n={C.n}")
-            print(word + random_error_vector(K, C.n, w, rng), file=fout)
-    finally:
-        _close(fin)
-        _close(fout)
+
+    def corrupt(word):
+        if len(word) != C.n:
+            raise CodeSpecError(f"word has {len(word)} symbols, expected n={C.n}")
+        return word + random_error_vector(K, C.n, w, rng)
+
+    _stream(args, K, corrupt)
     return EXIT_OK
 
 
@@ -179,24 +179,18 @@ def cmd_decode(args) -> int:
     C = _resolve_code(args.code)
     decoder = pgz if args.alg == "pgz" else pgzm
     failures = 0
-    fin, fout = _open_in(args.infile), _open_out(args.outfile)
-    try:
-        for word in _read_vectors(C.base_field, fin):
-            try:
-                report = decoder(word, C)
-            except (TypeError, ValueError) as ex:
-                # argument rejections (wrong length, wrong field) are input
-                # problems, not decode failures
-                raise CodeSpecError(str(ex)) from None
-            if report.ok:
-                for line in report.render():
-                    print(line, file=fout)
-            else:
-                failures += 1
-                print(report.message, file=sys.stderr)
-    finally:
-        _close(fin)
-        _close(fout)
+
+    def decode(word):
+        # a decoder rejecting its argument (wrong length or field) is an
+        # input problem, which _stream reports; a failed decode is not
+        nonlocal failures
+        report = decoder(word, C)
+        if report.ok:
+            return "\n".join(report.render())
+        failures += 1
+        print(report.message, file=sys.stderr)
+
+    _stream(args, C.base_field, decode)
     return EXIT_DECODE_FAILURE if failures else EXIT_OK
 
 
@@ -216,6 +210,7 @@ def cmd_demo(args) -> int:
 def _random_received(C: AlternantCode, w: int, rng: random.Random) -> tuple[Vec, Vec]:
     """A random codeword and that codeword plus a random weight-w error."""
     K = C.base_field
+    C.generator_matrix()  # a dimension-0 code raises its CodeError here, not an empty Vec
     c = C.encode(Vec(K, [rng.randrange(K.q) for _ in range(C.k)]))
     return c, c + random_error_vector(K, C.n, w, rng)
 

@@ -17,7 +17,8 @@ Kinds and their keys:
 The ``field`` object takes ``p`` (a prime), ``m`` (extension degree,
 default 1), ``modulus`` (ascending coefficient codes; only for m > 1, the
 first irreducible found in canonical order is used when omitted) and
-``label`` (generator name, default "a").
+``label`` (generator name, default "a"; an identifier such as "x" or
+"alpha", so that printed elements read back as the same elements).
 
 Element entries may be integers, coordinate lists, or strings such as
 "a**5"; anything :meth:`Field.element` accepts.  Polynomial coefficients
@@ -100,8 +101,9 @@ def build_field(desc) -> Field:
                 raise CodeSpecError(f"field.{key} is only meaningful when m > 1")
         return K
     label = desc.get("label", "a")
-    if not isinstance(label, str) or not label:
-        raise CodeSpecError(f"field.label must be a non-empty string, got {label!r}")
+    if not isinstance(label, str) or not label.isidentifier():
+        raise CodeSpecError(
+            f"field.label must be an identifier (a non-empty string), got {label!r}")
     if "modulus" in desc:
         raw = desc["modulus"]
         if not isinstance(raw, list):
@@ -125,7 +127,7 @@ def code_from_dict(desc) -> AlternantCode:
     if not isinstance(desc, dict):
         raise CodeSpecError("code description must be a JSON object")
     kind = _need(desc, "kind", "code description")
-    if kind not in _KIND_KEYS:
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
         raise CodeSpecError(
             f"unknown kind {kind!r}; expected one of {', '.join(_KIND_KEYS)}")
     _check_keys(desc, ("kind", "field") + _KIND_KEYS[kind], f"kind {kind}")

@@ -498,6 +498,8 @@ def extension(K: Field, modulus, gen_label: str = "a") -> tuple[Field, FieldElem
     new field together with its generator (the class of X).  Towers beyond a
     single extension are rejected.
     """
+    if not isinstance(gen_label, str) or not gen_label.isidentifier():
+        raise ValueError(f"generator label {gen_label!r} is not an identifier")
     if K.m != 1:
         raise ValueError(
             f"cannot extend {K.name}: only single extensions of prime fields are supported")

@@ -212,6 +212,72 @@ def test_unparseable_line_reports_line_number(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+# A bad line ends the run with exit 3 and its line number, after the answers
+# to the lines before it; the same from a file and from stdin.  Stdin is a
+# strict UTF-8 stream here, as under a non-C locale.
+PRS13_GOOD = {"encode": "[1, 2, 3, 4, 5, 6, 7, 8]",
+              "corrupt": "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]",
+              "decode": "[0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0] :: Vector[Z13]"}
+BAD_LINES = {
+    "wrong length": (b"[1, 2, 3]", {"encode": "expected k=8",
+                                    "corrupt": "expected n=12",
+                                    "decode": "wrong length (3, expected 12)"}),
+    "bad token": (b"[1, 2, zz, 4, 5, 6, 7, 8]", "bad element token 'zz'"),
+    "non-UTF-8": (b"[1, 2, \xff\xfe, 4]", "bad element token '\\udcff\\udcfe'"),
+}
+
+
+def _run_stream(command, data, source, tmp_path, capsys, monkeypatch):
+    """(exit code, output, stderr) of COMMAND on prs13 with DATA as input."""
+    args = [command, "--code", "prs13"] + (["--seed", "4"] if command == "corrupt" else [])
+    out = tmp_path / "out.txt"
+    out.unlink(missing_ok=True)
+    if source == "file":
+        src = tmp_path / "in.txt"
+        src.write_bytes(data)
+        code = main(args + ["--in", str(src), "--out", str(out)])
+        return code, out.read_text(), capsys.readouterr().err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code = main(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("case", sorted(BAD_LINES))
+@pytest.mark.parametrize("command", ["encode", "corrupt", "decode"])
+def test_bad_line_exits_3_naming_it_after_the_words_before(
+        command, case, source, tmp_path, capsys, monkeypatch):
+    good = PRS13_GOOD[command].encode()
+    head = b"# two words, then a bad one\n" + good + b"\n\n" + good + b"\n"
+    bad, message = BAD_LINES[case]
+    message = message[command] if isinstance(message, dict) else message
+    code, before, _ = _run_stream(command, head, source, tmp_path, capsys, monkeypatch)
+    assert code == EXIT_OK and before.count("\n") == 2 * (1 + (command == "decode"))
+
+    code, out, err = _run_stream(command, head + bad + b"\n" + good + b"\n",
+                                 source, tmp_path, capsys, monkeypatch)
+    assert code == EXIT_SPEC_ERROR
+    assert err.startswith("alternant: line 5: ") and message in err, err
+    assert "Traceback" not in err
+    assert out == before  # every word before the bad line, nothing after
+
+
+def test_non_utf8_stdin_in_a_child_process(tmp_path):
+    # a strict stdin decoder, as under en_US.UTF-8, must not end in a traceback
+    src = str(Path(alternant.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "alternant", "decode", "--code", "prs13"],
+        input=b"[0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]\n\xff\xfe[1]\n",
+        cwd=tmp_path, env=env, capture_output=True)
+    assert proc.returncode == EXIT_SPEC_ERROR
+    assert proc.stdout.startswith(b"PGZ: Error positions [4]")
+    assert b"alternant: line 2: expected a bracketed vector" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_corrupt_weight_out_of_range(capsys):
     assert main(["corrupt", "--code", "prs13", "--seed", "1",
                  "--weight", "99", "--in", "/dev/null"]) == EXIT_SPEC_ERROR
@@ -267,6 +333,30 @@ def test_bench_over_an_extension_field_base(capsys):
     # messages are codes over F32, not element tokens: 24 alone is ambiguous there
     assert main(["bench", "--code", "grs32", "--trials", "3"]) == EXIT_OK
     assert "equivalence: OK (9 paired trials)" in capsys.readouterr().out
+
+
+K0_CODE = {"kind": "AC", "field": {"p": 2, "m": 4}, "h": [1, 1, 1],
+           "a": ["a", "a**2", "a**3"], "r": 2}
+
+
+@pytest.mark.parametrize("command", ["bench", "selftest"])
+def test_dimension_0_code_exits_3(command, tmp_path, capsys):
+    path = tmp_path / "k0.json"
+    path.write_text(json.dumps(K0_CODE))
+    assert main([command, "--code", str(path), "--trials", "2"]) == EXIT_SPEC_ERROR
+    err = capsys.readouterr().err
+    assert "has dimension 0" in err and "Traceback" not in err
+
+
+def test_params_rejects_a_label_that_does_not_read_back(tmp_path, capsys):
+    # with label "1" the generator printed as 1, which reads back as the constant
+    path = tmp_path / "grs.json"
+    path.write_text(json.dumps({"kind": "GRS", "field": {"p": 2, "m": 3, "label": "1"},
+                                "h": [1, 1, 1, 1, 1, 1, 1],
+                                "a": [1, [0, 1], [0, 0, 1], [1, 1], [0, 1, 1],
+                                      [1, 1, 1], [1, 0, 1]], "k": 3}))
+    assert main(["params", "--code", str(path)]) == EXIT_SPEC_ERROR
+    assert "field.label" in capsys.readouterr().err
 
 
 def test_trials_must_be_positive(capsys):

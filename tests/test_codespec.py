@@ -65,6 +65,10 @@ def test_build_field_rejections():
         ({"p": 2, "m": 5, "modulus": [1, 1, 1]}, "degree 2, expected m=5"),
         ({"p": 2, "m": 2, "modulus": "X^2+X+1"}, "must be a list"),
         ({"p": 2, "m": 2, "label": ""}, "non-empty string"),
+        # labels that would not read back: "1" prints the generator as the
+        # constant 1, "[x]" and " a" are no element tokens, "a,b" splits a vector
+        *(({"p": 2, "m": 3, "label": label}, "field.label must be an identifier")
+          for label in ("1", "[x]", " a", "a,b", "x**2", "a::b")),
         ({"p": 13, "zzz": 1}, "unknown key(s) in 'field': zzz"),
         ("Z13", "'field' must be an object"),
     ]
@@ -72,6 +76,14 @@ def test_build_field_rejections():
         with pytest.raises(CodeSpecError) as ei:
             build_field(desc)
         assert fragment in str(ei.value), desc
+
+
+def test_build_field_accepts_identifier_labels():
+    for label in ("x", "alpha", "g_1", "\u03b1"):
+        F = build_field({"p": 2, "m": 3, "label": label})
+        gen = F.element(label)
+        assert F.element(F.format_code(gen.code)) == gen
+        assert F.element(F.format_code((gen ** 5).code)) == gen ** 5
 
 
 # -- code kinds ---------------------------------------------------------------

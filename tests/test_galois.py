@@ -297,6 +297,14 @@ def test_generator_label_is_part_of_field_identity():
         Fa.element(b)
 
 
+def test_generator_label_must_be_an_identifier():
+    # a label that is not an identifier would print elements that read back
+    # as other elements, or not at all
+    for label in ("1", "[x]", " a", "a,b", "x**2", "a::b", "", 5):
+        with pytest.raises(ValueError, match="not an identifier"):
+            extension(Z2, [1, 1, 0, 1], gen_label=label)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError) as ei:
         extension(Z2, [1, 0, 1])  # X^2 + 1 = (X+1)^2
