@@ -11,7 +11,6 @@ from .galois import (
     Field,
     FieldElement,
     Poly,
-    NEG_INF,
     prime_field,
     extension,
     get_irreducible_polynomial,
@@ -22,11 +21,8 @@ from .galois import (
 from .linalg import (
     Vec,
     Mat,
-    GJResult,
     SingularSystem,
     MalformedSyndromeStructure,
-    vandermonde,
-    hankel_matrix,
     gauss_jordan,
     rank,
     gj_locator,
@@ -77,12 +73,11 @@ from .codespec import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "FieldElement", "Poly", "NEG_INF",
+    "Field", "FieldElement", "Poly",
     "prime_field", "extension", "get_irreducible_polynomial",
     "element_order", "pull", "poly_gcd",
-    "Vec", "Mat", "GJResult", "SingularSystem", "MalformedSyndromeStructure",
-    "vandermonde", "hankel_matrix", "gauss_jordan", "rank", "gj_locator",
-    "expand", "null_space", "solve_square",
+    "Vec", "Mat", "SingularSystem", "MalformedSyndromeStructure",
+    "gauss_jordan", "rank", "gj_locator", "expand", "null_space", "solve_square",
     "AlternantCode", "CodeError", "rs", "grs", "prs", "bch", "goppa",
     "Status", "FailureReason", "DecodeReport", "pgz", "pgzm",
     "error_evaluator", "alt_error_evaluator", "forney", "forney_alt",

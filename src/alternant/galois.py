@@ -8,17 +8,19 @@ read as a base-p integer.  Enumeration therefore always starts
 
 Internally every element is carried as its canonical integer code, which
 makes the prime-subfield embedding the identity on codes.  Every field
-builds exp/log tables of a primitive element when it is constructed; they
-carry inversion and powers.  The rest of the arithmetic is chosen once, by
-the shape of the field: a prime field adds and multiplies integers mod p;
-an extension multiplies through exp/log and adds by XOR of codes in
-characteristic 2 and by Zech logarithms in odd characteristic.
+builds exp/log tables of its first primitive element (the generator when
+that is primitive), all from one times-table builder; they carry inversion
+and powers.  The rest of the arithmetic is chosen once, by the shape of the
+field: a prime field adds and multiplies integers mod p; an extension
+multiplies through exp/log and adds by XOR of codes in characteristic 2 and
+by Zech logarithms in odd characteristic.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from itertools import repeat
 from operator import pos, xor
 from typing import Iterable, Iterator
 
@@ -70,10 +72,11 @@ class Field:
     FieldElement wraps a code for operator syntax.  Instances are immutable
     once built and safe to share.
 
-    exp[k] is the code of g^k for a primitive element g, the generator when
-    it is primitive, for 0 <= k < 2(q-1), so exp[log[a] + log[b]] needs no
-    reduction; log inverts it on nonzero codes (log[0] is meaningless).
-    Both are arrays of 4-byte integers: 12 MB at q = 2^20.
+    exp[k] is the code of g^k for the first primitive element g in canonical
+    order, the generator when it is primitive, for 0 <= k < 2(q-1), so
+    exp[log[a] + log[b]] needs no reduction; log inverts it on nonzero codes
+    (log[0] is meaningless).  Both are arrays of 4-byte integers: 12 MB at
+    q = 2^20.  Every field fills them by walking g's table from _times_table.
     """
 
     __slots__ = (
@@ -98,39 +101,32 @@ class Field:
     # -- construction helpers -------------------------------------------------
 
     def _power_tables(self) -> tuple[array, array]:
-        """exp/log of the generator if it is primitive, else of the first primitive b.
+        """exp/log of b, the first primitive element in canonical order.
 
-        step[c] is the code of x*c, x being the first primitive root of a
-        prime field, the generator of an extension if it is primitive, and b
-        otherwise.  The walk 1, x, x^2, ... along step is the exp table: one
-        table step per entry.
+        A prime field tests candidates with pow.  An extension multiplies
+        digit lists and starts at the generator: the constants have order
+        dividing p - 1 < q - 1, so b is the generator whenever that is
+        primitive.  (mul reads Z_p as Z_p[X]/(X).)  The walk 1, b, b^2, ...
+        along the times-b table is the exp table: one table step per entry.
         """
         p, m, q, n = self.p, self.m, self.q, self.q - 1
-        primes = _prime_factors(n)
-        if m == 1:
-            x = next(c for c in range(1, q) if all(pow(c, n // f, p) != 1 for f in primes))
-            step = array("i", [c * x % p for c in range(q)])
-        else:
-            xm = [(-f) % p for f in self.modulus_codes[:m]]  # X^m = -(f_0 + f_1 X + ...)
+        xm = [(-f) % p for f in (self.modulus_codes or (0, 1))[:m]]  # X^m = -(f_0 + f_1 X + ...)
 
-            def mul(a: int, b: int) -> int:  # from the digits of b and shifts of a
-                acc, sh = [0] * m, self.coords_code(a)
-                for bj in self.coords_code(b):
-                    acc = [(u + bj * v) % p for u, v in zip(acc, sh)]
-                    sh = [(u + sh[-1] * v) % p for u, v in zip([0] + sh[:-1], xm)]
-                return self._encode(acc)
+        def mul(a: int, b: int) -> int:  # from the digits of b and shifts of a
+            acc, sh = [0] * m, self.coords_code(a)
+            for bj in self.coords_code(b):
+                acc = [(u + bj * v) % p for u, v in zip(acc, sh)]
+                sh = [(u + sh[-1] * v) % p for u, v in zip([0] + sh[:-1], xm)]
+            return self._encode(acc)
 
-            def power(a: int, e: int) -> int:
-                return 1 if e == 0 else mul(power(mul(a, a), e >> 1), a if e & 1 else 1)
+        def power(a: int, e: int) -> int:
+            if m == 1:
+                return pow(a, e, p)
+            return 1 if e == 0 else mul(power(mul(a, a), e >> 1), a if e & 1 else 1)
 
-            def primitive(c: int) -> bool:
-                return all(power(c, n // f) != 1 for f in primes)
-
-            if primitive(p):
-                step = self._times_x_table(xm)
-            else:  # constants have order dividing p - 1 < n, so b lies past them
-                b = next(c for c in range(p + 1, q) if primitive(c))
-                step = self._times_table([mul(b, p ** k) for k in range(m)])
+        primes, start = _prime_factors(n), 1 if m == 1 else p
+        b = next(c for c in range(start, q) if all(power(c, n // f) != 1 for f in primes))
+        step = self._times_table([mul(b, p ** k) for k in range(m)])
         exp, log = array("i", bytes(4 * n)), array("i", bytes(4 * q))
         c = 1
         for k in range(n):
@@ -147,10 +143,10 @@ class Field:
         """
         p = self.p
         if p == 2:
-            table = [0]
+            table = array("i", [0])
             for v in cols:
-                table += [t ^ v for t in table]
-            return array("i", table)
+                table += array("i", map(xor, table, repeat(v)))
+            return table
         digits = [self.coords_code(v) for v in cols]
         table = [0] * self.q
         for j in range(self.m):
@@ -159,21 +155,6 @@ class Field:
                 form = [f + du for du in [d * u[j] for d in range(p)] for f in form]
             table = [t + f % p * w for t, f in zip(table, form)]
         return array("i", table)
-
-    def _times_x_table(self, xm: list[int]) -> array:
-        """Code of X*c for every code c, built one digit position at a time."""
-        p, m = self.p, self.m
-        table = array("i")
-        for top in range(p):
-            # X * (lo + top X^(m-1)) = X*lo + top X^m: shift the digits of lo
-            # up by one and add top*xm digit by digit, for every lo at once
-            s = [top * c % p for c in xm]
-            row = array("i", [s[0]])
-            for i in range(1, m):
-                w = p ** i
-                row = array("i", (r + (d + s[i]) % p * w for d in range(p) for r in row))
-            table.extend(row)
-        return table
 
     def _arithmetic(self) -> tuple:
         """addc, subc, negc and mulc on codes, chosen here once by the field's shape."""
@@ -338,9 +319,8 @@ class Field:
         return self if self.m == 1 else prime_field(self.p)
 
     def first_primitive(self) -> "FieldElement":
-        """First primitive element in canonical enumeration order."""
-        n, log = self.q - 1, self.log
-        return FieldElement(self, next(c for c in range(1, self.q) if math.gcd(log[c], n) == 1))
+        """First primitive element in canonical enumeration order: the exp base."""
+        return FieldElement(self, self.exp[1])
 
     def poly(self, coeffs) -> "Poly":
         """Polynomial from an ascending coefficient list (ints/strings/elements)."""

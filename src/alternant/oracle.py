@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .linalg import Mat, Vec
@@ -129,18 +129,12 @@ def min_distance(C: AlternantCode, budget: OracleBudget | None = None) -> int:
             f"would enumerate {total} codewords > max_checks={budget.max_checks}")
     deadline = time.monotonic() + budget.max_seconds
     best = C.n + 1
-    msg = [0] * k
-    for idx in range(1, total):
-        i = 0
-        while True:  # increment the message in canonical counting order
-            msg[i] += 1
-            if msg[i] < q:
-                break
-            msg[i] = 0
-            i += 1
+    msgs = product(range(q), repeat=k)  # every message as codes, the zero one first
+    next(msgs)
+    for idx, msg in enumerate(msgs, 1):
         if idx % 4096 == 0 and time.monotonic() > deadline:
             raise BudgetExceeded("wall clock exceeded oracle budget")
-        wt = C.encode(msg).weight()
+        wt = C.encode(Vec(K, msg)).weight()
         if 0 < wt < best:
             best = wt
     return best

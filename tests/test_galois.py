@@ -17,6 +17,7 @@ import pytest
 
 import alternant
 
+from alternant.codespec import load_code
 from alternant.galois import (
     NEG_INF,
     Field,
@@ -178,6 +179,45 @@ def test_field_with_low_order_generator_builds_fast():
         a, b = rng.randrange(F.q), rng.randrange(F.q)
         assert F.mulc(a, b) == mul(a, b)
         assert F.addc(a, b) == add(a, b)
+
+
+def _reference_power(mul, a, e):
+    r = 1
+    while e:
+        r, a, e = mul(r, a) if e & 1 else r, mul(a, a), e >> 1
+    return r
+
+
+def _assert_exp_base(F, mul):
+    """b, the first code of reference order q - 1, is the exp base; exp is doubled, log inverts it."""
+    n = F.q - 1
+    primes = [f for f in range(2, n + 1) if n % f == 0 and all(f % d for d in range(2, f))]
+    b = next(c for c in range(1, F.q) if _reference_power(mul, c, n) == 1
+             and all(_reference_power(mul, c, n // f) != 1 for f in primes))
+    assert F.first_primitive().code == F.exp[1] == b
+    assert len(F.exp) == 2 * n and F.exp[n:] == F.exp[:n]
+    assert array("i", map(F.log.__getitem__, F.exp[:n])) == array("i", range(n))
+    return b
+
+
+@pytest.mark.parametrize("F", SMALL + LARGE)
+def test_exp_base_is_the_first_primitive_element(F):
+    _, mul = _reference(F)
+    b, x = _assert_exp_base(F, mul), 1
+    for k in range(F.q - 1):  # exp[k] == b^k, walked with the reference product
+        assert F.exp[k] == x
+        x = mul(x, b)
+
+
+def test_exp_base_of_rs64_field():
+    codes = Path(__file__).resolve().parents[1] / "perfbench" / "codes"
+    F = load_code(codes / "rs64.json").ext_field
+    assert F.q == 1 << 16
+    _, mul = _reference(F)
+    assert _assert_exp_base(F, mul) == F.p  # the generator of rs64's modulus is primitive
+    rng = random.Random(65536)
+    for k in (rng.randrange(2 * (F.q - 1)) for _ in range(40)):
+        assert F.exp[k] == _reference_power(mul, F.p, k)
 
 
 def test_printing_does_not_depend_on_call_history():

@@ -120,6 +120,22 @@ def test_min_distance_toy_goppa():
     assert d >= C.d_bound == 5
 
 
+@pytest.mark.parametrize("C, d", [
+    (prs(F8, 4), 4),
+    (prs(extension(prime_field(3), [1, 0, 1])[0], 3), 6),
+], ids=["prs(F8,4)", "prs(F9,3)"])
+def test_min_distance_over_extension_base(C, d):
+    # messages over an extension base are codes, not bare integers
+    assert min_distance(C) == d == C.n - C.k + 1
+
+
+def test_min_distance_of_zero_dimension_code():
+    F4, _ = extension(Z2, [1, 1, 1])
+    C = AlternantCode(Vec(F4, (1, 1, 1)), Vec(F4, (1, 2, 3)), 2, Z2)
+    assert C.k == 0
+    assert min_distance(C) == C.n + 1
+
+
 def test_min_distance_budget_refusal():
     C = demo_code("prs13")  # 13^8 codewords is far beyond the default cap
     with pytest.raises(BudgetExceeded):
