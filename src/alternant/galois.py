@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import repeat
-from operator import pos, xor
+from operator import and_, pos, xor
 from typing import Iterable, Iterator
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -159,15 +159,15 @@ class Field:
     def _arithmetic(self) -> tuple:
         """addc, subc, negc and mulc on codes, chosen here once by the field's shape."""
         p, exp, log = self.p, self.exp, self.log
-        if self.m == 1:
+        if self.m == 1 and p > 2:
             return ((lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p),
                     (lambda a: -a % p), (lambda a, b: a * b % p))
 
         def mulc(a: int, b: int) -> int:
             return exp[log[a] + log[b]] if a and b else 0
 
-        if p == 2:
-            return xor, xor, pos, mulc
+        if p == 2:  # a code's bits are its coordinates: + and - are XOR, -a is a
+            return xor, xor, pos, and_ if self.m == 1 else mulc
         # a + b = a (1 + g^(log b - log a)); zech[k] = log(1 + g^k), or 0 where
         # 1 + g^k = 0, over two periods so every log difference below indexes it
         log1 = log[1:] + log[:1]  # log(1 + c): 1 + c bumps the constant digit,

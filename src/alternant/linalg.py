@@ -4,14 +4,14 @@ Everything is over a Field from .galois and carried as tuples of canonical
 integer codes, so results are reproducible bit for bit: pivoting always
 takes the first nonzero entry scanning down the current column, rows are
 processed top-down and columns left-to-right, and there are no tolerances.
-Every elimination over a field other than Z_2 is one forward pass to row
-echelon form (_eliminate), then either a back-substitution of the one
-column the caller needs (gj_locator, solve_square) or a bottom-up pass that
-clears above each pivot (gauss_jordan's reduced form).
+gj_locator, solve_square and gauss_jordan over an extension field run one
+forward pass to row echelon form (_eliminate), then back-substitute the one
+column they need or clear above each pivot from the bottom up.
 Every vector-times-matrix product, syndromes, encodings and root search
 included, goes through one LinearMap, which reads the matrix as a
-Z_p-linear map on packed integers.  Over Z_2, Gauss-Jordan packs each row
-into one int as well, so a row operation is one XOR.
+Z_p-linear map on packed integers.  Over a prime field, gauss_jordan packs
+each row into one int as well: a row operation is one XOR over Z_2 and one
+multiply-add over an odd Z_p, its slots reduced mod p only when read.
 """
 
 from __future__ import annotations
@@ -218,13 +218,11 @@ class LinearMap:
     modulus without its leading term) added in.  zeros(x), the zero columns
     of x @ A, ORs each column's m bits into its lowest with ceil(log2 m)
     shift-ORs and reads the clear ones.
-    For odd p a slot is the first of 8, 16, 32 or 64 bits that holds
-    nrows * d * (p-1)^2, the largest slot sum, so no slot carries into the
-    next (Kronecker substitution); one to_bytes and a memoryview cast read
-    the slots back, then each is taken mod p.
+    For odd p a slot holds nrows * d * (p-1)^2, the largest slot sum, so no
+    slot carries into the next (Kronecker substitution).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_typecode", "_nbytes", "_folds", "_low")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_typecode", "_folds", "_low")
 
     def __init__(self, A: Mat, K: Field):
         F = A.field
@@ -239,11 +237,9 @@ class LinearMap:
             self._low = int(("0" * (m - 1) + "1") * self.ncols, 2)
         else:
             def pack(row):
-                slots = row if m == 1 else [g for c in row for g in F.coords_code(c)]
-                return int.from_bytes(array(self._typecode, slots).tobytes(), sys.byteorder)
-            most = (A.nrows * K.m * (p - 1) ** 2).bit_length()  # p < 2^16: "Q" holds it
-            self._typecode = next(c for c in "BHIQ" if array(c).itemsize * 8 >= most)
-            self._nbytes = self.ncols * m * array(self._typecode).itemsize
+                return _pack_slots(row if m == 1 else [g for c in row for g in F.coords_code(c)],
+                                   self._typecode)
+            self._typecode = _slot_type(A.nrows * K.m * (p - 1) ** 2)
         # _rows[b][i]: row i times X^b, packed
         self._rows = [[pack(row) for row in A.rows]]
         if p == 2 and K.m > 1:  # times X, slot by slot
@@ -261,8 +257,7 @@ class LinearMap:
         if p == 2:
             mask = (1 << m) - 1
             return [acc >> s & mask for s in range(0, self.ncols * m, m)]
-        words = memoryview(acc.to_bytes(self._nbytes, sys.byteorder)).cast(self._typecode)
-        slots = list(map(mod, words, repeat(p)))
+        slots = _read_slots(acc, self._typecode, self.ncols * m, p)
         out = slots[m - 1::m]  # each column's code from its m slots, by Horner's rule
         for k in range(m - 2, -1, -1):
             out = [c * p + s for c, s in zip(out, slots[k::m])]
@@ -293,6 +288,27 @@ class LinearMap:
         if p == 2:
             return reduce(xor, chain.from_iterable(map(compress, self._rows, digits)), 0)
         return sum(sum(map(mul, scale, rows)) for scale, rows in zip(digits, self._rows))
+
+
+# Values of an odd Z_p packed into one int, an unsigned array slot each, the first
+# lowest.  A slot is the first of 8, 16, 32 or 64 bits that holds the largest sum its
+# caller lets build up, at most a count times (p - 1)^2; p < _PRIME_CAP = 2^16 makes
+# (p - 1)^2 < 2^32, so "Q" holds it for every count below 2^32.
+_SLOT_BYTES = {c: array(c).itemsize for c in "BHIQ"}
+
+
+def _slot_type(most: int) -> str:
+    return next(c for c, size in _SLOT_BYTES.items() if size * 8 >= most.bit_length())
+
+
+def _pack_slots(values, typecode: str) -> int:
+    return int.from_bytes(array(typecode, values).tobytes(), sys.byteorder)
+
+
+def _read_slots(acc: int, typecode: str, n: int, p: int) -> list[int]:
+    """The n lowest slots of acc, each taken mod p."""
+    words = memoryview(acc.to_bytes(n * _SLOT_BYTES[typecode], sys.byteorder)).cast(typecode)
+    return list(map(mod, words, repeat(p)))
 
 
 _TO_DIGITS, _TO_CODES = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
@@ -362,8 +378,12 @@ def gauss_jordan(M: Mat) -> GJResult:
     For each column left-to-right the first nonzero entry at or below the
     current row becomes the pivot; zero rows end up at the bottom.  Over Z_2
     a row is one int, bit j holding column j, and a row operation one XOR.
-    Over other fields the forward pass (_eliminate) leaves row echelon form
-    and the pivots, last first, clear their columns in the rows above.
+    Over an odd Z_p slot j holds column j, and a row operation adds (p - f)
+    times the pivot row, f the row's entry in the pivot column, unreduced: a
+    slot gains at most (p - 1)^2 per pivot.  A row is taken mod p when it
+    becomes the pivot row, and every row at the end.  Over an extension
+    field the forward pass (_eliminate) leaves row echelon form and the
+    pivots, last first, clear their columns in the rows above.
     """
     F = M.field
     nrows, ncols = M.nrows, M.ncols
@@ -379,12 +399,30 @@ def gauss_jordan(M: Mat) -> GJResult:
                 a = [v ^ prow if v & bit and i != r else v for i, v in enumerate(a)]
                 pivots.append(c)
         rows = (f"{v:0{ncols}b}".encode().translate(_TO_CODES)[::-1] for v in a)
-        return GJResult(len(pivots), Mat(F, rows, ncols=ncols), tuple(pivots))
-    a = [list(r) for r in M.rows]
-    pivots = _eliminate(F, a, ncols)
-    for r in range(len(pivots) - 1, 0, -1):  # bottom-up: clear above each pivot
-        _clear(F, a[r], pivots[r], a[:r])
-    return GJResult(len(pivots), Mat(F, a, ncols=ncols), tuple(pivots))
+    elif F.m == 1:
+        p = F.p
+        typecode = _slot_type(p - 1 + min(nrows, ncols) * (p - 1) ** 2)
+        bits = 8 * _SLOT_BYTES[typecode]
+        mask = (1 << bits) - 1
+        a = [_pack_slots(r, typecode) for r in M.rows]
+        for c in range(ncols):
+            r, s = len(pivots), c * bits
+            pr = next((i for i in range(r, nrows) if (a[i] >> s & mask) % p), None)
+            if pr is not None:
+                row = _read_slots(a[pr], typecode, ncols, p)
+                inv = F.invc(row[c])
+                a[pr], a[r] = a[r], _pack_slots([v * inv % p for v in row], typecode)
+                prow = a[r]
+                a = [v + (p - f) * prow if (f := (v >> s & mask) % p) and i != r else v
+                     for i, v in enumerate(a)]
+                pivots.append(c)
+        rows = (_read_slots(v, typecode, ncols, p) for v in a)
+    else:
+        rows = [list(r) for r in M.rows]
+        pivots = _eliminate(F, rows, ncols)
+        for r in range(len(pivots) - 1, 0, -1):  # bottom-up: clear above each pivot
+            _clear(F, rows[r], pivots[r], rows[:r])
+    return GJResult(len(pivots), Mat(F, rows, ncols=ncols), tuple(pivots))
 
 
 def _eliminate(F: Field, a: list[list[int]], ncols: int) -> list[int]:

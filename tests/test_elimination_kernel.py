@@ -1,10 +1,13 @@
 """gauss_jordan, gj_locator and solve_square against the loops they replaced.
 
-Over every field but Z2, the three share one forward elimination to row
-echelon form: gauss_jordan then clears above each pivot from the bottom up,
-gj_locator and solve_square back-substitute the one column they read.  The
-_reference functions below are the full Gauss-Jordan loop all three ran
-before, kept here verbatim.  The forward pass takes the same pivots and the
+gj_locator and solve_square run one forward elimination to row echelon
+form and back-substitute the one column they read; gauss_jordan runs the
+same pass over extension fields and then clears above each pivot from the
+bottom up.  Over an odd Z_p gauss_jordan works on packed rows instead, one
+slot per column, reduced mod p only when a row becomes the pivot row and at
+the end; FIELDS has a prime field at each slot width, 8, 16, 32 and 64 bits.
+The _reference functions below are the full Gauss-Jordan loop all three ran
+before, kept here verbatim.  Every path takes the same pivots and the
 reduced form is unique, so the whole GJResult, every locator and every
 solution must match, and so must the class and message of every exception.
 """
@@ -19,7 +22,7 @@ from alternant.demo import DEMO_NAMES, demo_code
 from alternant.galois import extension, get_irreducible_polynomial, prime_field
 from alternant.linalg import (
     GJResult, MalformedSyndromeStructure, Mat, SingularSystem, Vec,
-    gauss_jordan, gj_locator, hankel_matrix, solve_square,
+    _SLOT_BYTES, _slot_type, gauss_jordan, gj_locator, hankel_matrix, solve_square,
 )
 from alternant.pgz import random_error_vector
 
@@ -93,7 +96,8 @@ def _field(p, m):
     return K if m == 1 else extension(K, get_irreducible_polynomial(K, m))[0]
 
 
-FIELDS = [_field(p, m) for p, m in ((3, 1), (5, 1), (13, 1), (2, 2), (3, 2), (5, 2))]
+FIELDS = [_field(p, m) for p, m in ((3, 1), (5, 1), (13, 1), (257, 1), (65521, 1),
+                                    (2, 2), (3, 2), (5, 2))]
 FIELDS += [load_code(BENCH_CODES / f"{name}.json").ext_field for name in ("bch255", "rs64")]
 
 
@@ -136,6 +140,29 @@ def _matrices(F):
                                for F in FIELDS for label, M in _matrices(F)])
 def test_gauss_jordan_matches_reference(M):
     assert gauss_jordan(M) == _gauss_jordan_reference(M)
+
+
+@pytest.mark.parametrize("p, size, width", [
+    (3, 63, 8), (3, 64, 16), (5, 15, 8), (5, 16, 16), (65521, 1, 32), (65521, 2, 64),
+])
+def test_slot_width_boundaries(p, size, width):
+    """Around each step of the slot width, on matrices whose min(nrows, ncols) is size.
+
+    The width holds the largest lazy sum, (p - 1) + size (p - 1)^2.  In the
+    staircase, rows e_i + (p - 1) e_(size-1) for i < size - 1 above
+    (1, ..., 1, p - 1), the last row takes every pivot's row operation at the
+    largest factor, so its last slot reaches (p - 1) + (size - 1) (p - 1)^2
+    before it is read back.
+    """
+    F, rng = prime_field(p), random.Random(size * p)
+    assert 8 * _SLOT_BYTES[_slot_type(p - 1 + size * (p - 1) ** 2)] == width
+    staircase = [[int(j == i) for j in range(size - 1)] + [p - 1] for i in range(size - 1)]
+    staircase.append([1] * (size - 1) + [p - 1])
+    full_rank = None
+    while full_rank is None or _gauss_jordan_reference(full_rank).rank < size:
+        full_rank = Mat(F, [[rng.randrange(p) for _ in range(size + 3)] for _ in range(size)])
+    for M in (Mat(F, staircase), full_rank, full_rank.transpose()):
+        assert gauss_jordan(M) == _gauss_jordan_reference(M)
 
 
 def _codes():

@@ -60,6 +60,15 @@ def test_prime_field_basics():
     assert prime_field(13) is Z13  # cached
 
 
+def test_z2_operators_are_mod_2_arithmetic():
+    for a in (0, 1):
+        assert Z2.negc(a) == -a % 2
+        for b in (0, 1):
+            assert Z2.addc(a, b) == (a + b) % 2
+            assert Z2.subc(a, b) == (a - b) % 2
+            assert Z2.mulc(a, b) == a * b % 2
+
+
 def test_composite_rejected_with_factor():
     with pytest.raises(ValueError) as ei:
         prime_field(4)

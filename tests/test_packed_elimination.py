@@ -1,12 +1,14 @@
-"""Gauss-Jordan over Z2 on packed rows against the generic loop it replaced.
+"""Gauss-Jordan on packed rows against the generic loop it replaced.
 
-_gauss_jordan_reference is the elimination gauss_jordan runs for every field
-but Z2: rows of codes, one field operation per entry.  Over Z2 gauss_jordan
-packs each row into one int and reduces with XOR; the reduced form is
+_gauss_jordan_reference is the elimination on rows of codes, one field
+operation per entry.  Over every prime field gauss_jordan packs each row
+into one int: over Z2 it reduces with XOR, over an odd Z_p with row
+operations whose slots are taken mod p only when read.  The reduced form is
 unique, so the whole GJResult must match the reference on seeded random
-matrices of every shape that stresses pivoting.  Dimension, generator
-matrix and encodings built on it must match the reference on every demo
-code and on the benchmark's codes.
+matrices over Z2 of every shape that stresses pivoting (the odd-p shapes are
+in test_elimination_kernel.py).  Dimension, generator matrix and encodings
+built on it must match the reference on every demo code and on the
+benchmark's codes, over Z2, Z3, Z5, Z13, Z31 and extension fields.
 """
 
 import random
