@@ -74,7 +74,6 @@ class AlternantCode:
         self._reduced: Mat | None = None  # k's reduced expanded H, for G: one elimination
         self._G: Mat | None = None
         self._encode_map: LinearMap | None = None
-        self._d_exact: int | None = None
 
     # -- parameters -----------------------------------------------------------
 
@@ -95,9 +94,7 @@ class AlternantCode:
     @property
     def d_exact(self) -> int | None:
         """Exact minimum distance when known (MDS kinds), else None."""
-        if self._d_exact is None and self.kind in ("RS", "GRS", "PRS"):
-            self._d_exact = self.n - self.k + 1
-        return self._d_exact
+        return self.n - self.k + 1 if self.kind in ("RS", "GRS", "PRS") else None
 
     def generator_matrix(self) -> Mat:
         """k x n matrix over K whose rows form a deterministic basis."""

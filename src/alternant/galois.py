@@ -8,12 +8,14 @@ read as a base-p integer.  Enumeration therefore always starts
 
 Internally every element is carried as its canonical integer code, which
 makes the prime-subfield embedding the identity on codes.  Every field
-builds exp/log tables of its first primitive element (the generator when
+builds exp/log tables of its first primitive element b (the generator when
 that is primitive), all from one times-table builder; they carry inversion
-and powers.  The rest of the arithmetic is chosen once, by the shape of the
-field: a prime field adds and multiplies integers mod p; an extension
-multiplies through exp/log and adds by XOR of codes in characteristic 2 and
-by Zech logarithms in odd characteristic.
+and powers.  Before the tables exist, an extension finds b and its
+multiples b X^k with Poly arithmetic modulo the modulus.  The rest of the
+arithmetic is chosen once, by the shape of the field: a prime field adds
+and multiplies integers mod p; an extension multiplies through exp/log and
+adds by XOR of codes in characteristic 2 and by Zech logarithms in odd
+characteristic.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class Field:
     order, the generator when it is primitive, for 0 <= k < 2(q-1), so
     exp[log[a] + log[b]] needs no reduction; log inverts it on nonzero codes
     (log[0] is meaningless).  Both are arrays of 4-byte integers: 12 MB at
-    q = 2^20.  Every field fills them by walking g's table from _times_table.
+    q = 2^20.  Every field fills them by walking g's table from _times_table;
+    an extension finds g and each g X^k by Poly arithmetic mod its modulus.
     """
 
     __slots__ = (
@@ -103,30 +106,25 @@ class Field:
     def _power_tables(self) -> tuple[array, array]:
         """exp/log of b, the first primitive element in canonical order.
 
-        A prime field tests candidates with pow.  An extension multiplies
-        digit lists and starts at the generator: the constants have order
+        A prime field tests candidates with pow mod p.  An extension reads
+        each candidate code as a Poly over Z_p and tests it with pow mod the
+        modulus f, starting at the generator: the constants have order
         dividing p - 1 < q - 1, so b is the generator whenever that is
-        primitive.  (mul reads Z_p as Z_p[X]/(X).)  The walk 1, b, b^2, ...
-        along the times-b table is the exp table: one table step per entry.
+        primitive.  The columns b X^k mod f of b's times-table are Poly
+        products in Z_p[X]/(f) as well.  The walk 1, b, b^2, ... along the
+        times-b table is the exp table: one table step per entry.
         """
         p, m, q, n = self.p, self.m, self.q, self.q - 1
-        xm = [(-f) % p for f in (self.modulus_codes or (0, 1))[:m]]  # X^m = -(f_0 + f_1 X + ...)
-
-        def mul(a: int, b: int) -> int:  # from the digits of b and shifts of a
-            acc, sh = [0] * m, self.coords_code(a)
-            for bj in self.coords_code(b):
-                acc = [(u + bj * v) % p for u, v in zip(acc, sh)]
-                sh = [(u + sh[-1] * v) % p for u, v in zip([0] + sh[:-1], xm)]
-            return self._encode(acc)
-
-        def power(a: int, e: int) -> int:
-            if m == 1:
-                return pow(a, e, p)
-            return 1 if e == 0 else mul(power(mul(a, a), e >> 1), a if e & 1 else 1)
-
-        primes, start = _prime_factors(n), 1 if m == 1 else p
-        b = next(c for c in range(start, q) if all(power(c, n // f) != 1 for f in primes))
-        step = self._times_table([mul(b, p ** k) for k in range(m)])
+        primes = _prime_factors(n)
+        if m == 1:
+            cols = [next(c for c in range(1, p) if all(pow(c, n // r, p) != 1 for r in primes))]
+        else:
+            K = prime_field(p)
+            f, x = Poly(K, self.modulus_codes), Poly(K, (0, 1))
+            g = next(g for g in (Poly(K, self.coords_code(c)) for c in range(p, q))
+                     if all(pow(g, n // r, f).codes != (1,) for r in primes))
+            cols = [self._encode((g * x ** k % f).codes) for k in range(m)]
+        step = self._times_table(cols)
         exp, log = array("i", bytes(4 * n)), array("i", bytes(4 * q))
         c = 1
         for k in range(n):
@@ -507,8 +505,7 @@ def extension(K: Field, modulus, gen_label: str = "a") -> tuple[Field, FieldElem
 def get_irreducible_polynomial(K: Field, m: int) -> "Poly":
     """First monic irreducible of degree m over the prime field K.
 
-    Candidates are scanned in canonical order: the lower coefficient tuple
-    (c_0, ..., c_{m-1}) read as a base-p integer, ascending.  A degree whose
+    Candidates are scanned in the canonical order of _monic.  A degree whose
     field would exceed 2^20 elements is refused before any search.
     """
     if K.m != 1:
@@ -520,11 +517,16 @@ def get_irreducible_polynomial(K: Field, m: int) -> "Poly":
     p = K.p
     if m >= _ORDER_CAP.bit_length() or p ** m > _ORDER_CAP:  # p^m >= 2^m, so p ** m stays small
         raise ValueError(f"field size {p}^{m} exceeds the cap 2^20")
-    for idx in range(p ** m):
-        f = Poly(K, tuple(_base_p(idx, p, m)) + (1,))
+    for f in _monic(K, m):
         if _find_monic_factor(f) is None:
             return f
     raise AssertionError(f"no irreducible of degree {m} over {K.name}")
+
+
+def _monic(K: Field, d: int) -> Iterator["Poly"]:
+    """Monic polynomials of degree d over the prime field K in canonical order:
+    the lower coefficient tuple (c_0, ..., c_{d-1}) read as a base-p integer, ascending."""
+    return (Poly(K, (*_base_p(idx, K.p, d), 1)) for idx in range(K.p ** d))
 
 
 def _find_monic_factor(f: "Poly"):
@@ -532,12 +534,8 @@ def _find_monic_factor(f: "Poly"):
 
     Trial division; divisor candidates are scanned in canonical order.
     """
-    K = f.field
-    p = K.p
-    deg = f.degree
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p ** d):
-            g = Poly(K, tuple(_base_p(idx, p, d)) + (1,))
+    for d in range(1, f.degree // 2 + 1):
+        for g in _monic(f.field, d):
             if (f % g).is_zero:
                 return g
     return None
@@ -656,17 +654,17 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
+    def __pow__(self, e: int, mod: "Poly | None" = None):
+        """self ** e; pow(self, e, mod) reduces mod mod after each product, as int's does."""
         if e < 0:
             raise ValueError("negative polynomial powers are not defined")
-        r = Poly(self.field, (1,))
-        b = self
+        r, b = Poly(self.field, (1,)), self
         while e:
             if e & 1:
-                r = r * b
-            b = b * b
+                r = r * b if mod is None else r * b % mod
+            b = b * b if mod is None else b * b % mod
             e >>= 1
-        return r
+        return r if mod is None else r % mod
 
     def __divmod__(self, other):
         o = self._coerce(other)

@@ -517,3 +517,107 @@ def test_goppa_polynomial_root_census():
 def test_poly_display():
     f = Z13.poly([2, 5, 1])
     assert str(f) == "[2, 5, 1]"
+
+
+def test_poly_operators_against_plain_arithmetic():
+    f, d = Z13.poly([2, 5, 1]), Z13.poly([10, 1])  # (z - 3)(z - 5) and z - 3
+    assert 3 - f == Z13.poly([(3 - 2) % 13, -5 % 13, -1 % 13])
+    for s in (3, Z13.element(3)):
+        assert f * s == s * f == Z13.poly([3 * c % 13 for c in (2, 5, 1)])
+    assert f // d == Z13.poly([8, 1])  # z - 5
+    assert Z13.poly([1, 2]) // f == Z13.poly([])
+    assert repr(f) == "Poly[Z13][2, 5, 1]"
+    assert hash(Z13.poly([7, 0, 0])) == hash(Z13.poly([7]))
+    assert len({f, Z13.poly([2, 5, 1, 0]), d}) == 2
+    _, mul = _reference(F25)
+    g = Poly(F25, (1, 7, 0, 13))
+    for s in (gen25, F25.element("[2, 3]")):
+        assert (g * s).codes == tuple(mul(c, s.code) for c in g.codes)
+
+
+def test_poly_degenerate_cases():
+    zero = Z13.poly([])
+    assert poly_gcd(zero, zero).is_zero
+    assert poly_gcd(Z13.poly([4, 2]), zero) == Z13.poly([2, 1])
+    with pytest.raises(TypeError, match="different fields"):
+        poly_gcd(Z13.poly([1, 1]), Z5.poly([1, 1]))
+    with pytest.raises(ZeroDivisionError):
+        zero.monic()
+    with pytest.raises(ValueError, match="negative"):
+        Z13.poly([1, 1]) ** -1
+
+
+@pytest.mark.parametrize("K", [Z2, Z3, Z5], ids=lambda f: f.name)
+def test_poly_pow_mod_is_power_then_remainder(K):
+    rng = random.Random(K.p)
+    p = K.p
+
+    def rand_poly(lo, hi):  # degree lo..hi, nonzero leading coefficient
+        return Poly(K, [rng.randrange(p) for _ in range(rng.randrange(lo, hi + 1))]
+                    + [rng.randrange(1, p)])
+
+    cases = []
+    for _ in range(60):
+        f = rand_poly(0, 4)  # degrees 0..4: a constant f reduces everything to 0
+        g = rand_poly(0, 9) if rng.randrange(4) else Poly(K, ())
+        cases.append((g, rng.randrange(20), f))
+    f1 = rand_poly(1, 1)
+    cases += [
+        (rand_poly(2, 6), 0, rand_poly(1, 3)),          # e = 0
+        (rand_poly(6, 9), 7, rand_poly(1, 3)),          # deg g >= deg f
+        (f1 * rand_poly(0, 3), 5, f1),                  # g = 0 mod f
+        (rand_poly(0, 5), 11, f1),                      # f of degree 1
+        (rand_poly(0, 5), 3, Poly(K, (1,))),            # f a unit: everything is 0
+    ]
+    for g, e, f in cases:
+        assert pow(g, e, f) == (g ** e) % f, (g, e, f)
+    assert pow(f1 * rand_poly(0, 3), 5, f1).is_zero
+    assert pow(rand_poly(2, 6), 0, rand_poly(1, 3)) == Poly(K, (1,))
+    with pytest.raises(ValueError, match="negative"):
+        pow(rand_poly(1, 3), -1, rand_poly(1, 3))
+
+
+# -- element operators and field protocol -------------------------------------
+
+@pytest.mark.parametrize("F", [Z13, F25, F32, F243], ids=lambda f: f.name)
+def test_element_division_and_reflected_subtraction(F):
+    add, mul = _reference(F)
+    rng = random.Random(37)
+    for _ in range(100):
+        a, b, k = rng.randrange(F.q), rng.randrange(1, F.q), rng.randrange(F.p)
+        x, y = _elem(F, a), _elem(F, b)
+        assert mul((x / y).code, b) == a
+        assert mul((k / y).code, b) == k
+        assert add((k - y).code, b) == k
+    with pytest.raises(ZeroDivisionError):
+        F.one / F.zero
+    with pytest.raises(ZeroDivisionError):
+        1 / F.zero
+
+
+def test_element_equality_hash_and_display():
+    assert Z13.element(3) == 16 and Z13.element(3) != 4
+    assert F25.element(2) == 2 and F25.element(2) == -3
+    assert not (gen25 == 5)  # 5 is ambiguous in F25, even though gen25 has code 5
+    assert not (gen25 == 7)
+    assert gen25 != "x"
+    assert not F25.zero and F25.one and gen25
+    assert hash(F25.element([1, 1])) == hash(gen25 + 1)
+    assert len(set(F25.elements())) == 25
+    assert len({F25.element(3), F25.element(-2), F25.element("3")}) == 1
+    assert repr(gen32 ** 5) == "F32(a**5)"
+    assert repr(gen25) == "F25([0, 1])"
+    assert repr(Z13.element(-1)) == "Z13(12)"
+
+
+def test_field_protocol():
+    assert len(F25) == 25 and len(Z13) == 13
+    assert [x.code for x in F25] == list(range(25))
+    assert [x.code for x in iter(Z13)] == list(range(13))
+    with pytest.raises(ZeroDivisionError, match="no discrete log"):
+        F25.log_code(0)
+    with pytest.raises(ValueError, match="no generator"):
+        Z13.gen
+    with pytest.raises(ValueError, match="no modulus"):
+        Z13.modulus
+    assert F25.modulus == Z5.poly([3, 0, 1])

@@ -125,6 +125,28 @@ def test_mat_basics():
     assert empty.shape == (0, 4)
 
 
+def test_mat_refusals():
+    with pytest.raises(ValueError, match="ncols disagrees"):
+        Mat(Z13, [[1, 2]], ncols=3)
+    with pytest.raises(ValueError, match="at least one column"):
+        Mat(Z13, [[], []])
+    with pytest.raises(ValueError, match="at least one column"):
+        Mat(Z13, [], ncols=0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Mat.of(Z13, [[1, 2], [3, 4], [5, 6]]) @ Vec(Z13, (1, 1, 1))
+
+
+def test_mat_display_and_hash():
+    M = Mat.of(Z13, [[1, 12], [10, 3]])
+    assert str(M) == "[[ 1 12]\n [10  3]]"
+    assert repr(M) == "Mat[Z13 2x2]\n[[ 1 12]\n [10  3]]"
+    assert str(Mat(Z13, [], ncols=3)) == "[[]] (0x3)"
+    assert repr(Mat(Z13, [], ncols=3)) == "Mat[Z13 0x3]\n[[]] (0x3)"
+    assert str(Mat.of(F32, [["a", 1, 0]])) == "[[a 1 0]]"
+    assert hash(M) == hash(Mat.of(Z13, [[1, -1], [10, 3]]))
+    assert len({M, Mat.of(Z13, [[1, -1], [10, 3]]), M.transpose()}) == 2
+
+
 def test_mat_product_associative():
     rng = random.Random(9)
     for _ in range(20):
