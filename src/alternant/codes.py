@@ -117,9 +117,15 @@ class AlternantCode:
 
     # -- operations -----------------------------------------------------------
 
-    def syndrome(self, y) -> Vec:
-        """y @ H^T for a received word y over K."""
-        return Vec(self.ext_field, self._syndrome_map(self._coerce_word(y).codes))
+    def syndrome(self, y, at=None) -> Vec:
+        """y @ H^T for a received word y over K; with at (distinct positions), for the word
+        holding the entries y at those positions and 0 elsewhere, from those columns of H."""
+        if at is None:
+            return Vec(self.ext_field, self._syndrome_map(self._coerce_word(y).codes))
+        y = Vec.of(self.base_field, y)
+        if len(y) != len(at) or len(set(at)) < len(at) or min(at) < 0 or max(at) >= self.n:
+            raise CodeError(f"{len(y)} entries for positions {tuple(at)} in 0..{self.n - 1}")
+        return Vec(self.ext_field, self._syndrome_map(y.codes, at))
 
     def encode(self, message) -> Vec:
         """message (length k over K) times the generator matrix."""

@@ -251,9 +251,10 @@ class LinearMap:
             self._rows += [[pack([F.mulc(p ** b, c) for c in row]) for row in A.rows]
                            for b in range(1, K.m)]
 
-    def __call__(self, codes) -> list[int]:
-        """Codes of x @ A, given the codes of x (at most A.nrows, over the input field)."""
-        acc, p, m = self._sum(codes), self.field.p, self.field.m
+    def __call__(self, codes, at=None) -> list[int]:
+        """Codes of x @ A, given the codes of x (at most A.nrows, over the input field);
+        with at, given x's entries in those rows alone, x being 0 in the rest."""
+        acc, p, m = self._sum(codes, at), self.field.p, self.field.m
         if p == 2:
             mask = (1 << m) - 1
             return [acc >> s & mask for s in range(0, self.ncols * m, m)]
@@ -276,18 +277,19 @@ class LinearMap:
             zero &= zero - 1
         return out
 
-    def _sum(self, codes) -> int:
-        """The packed x @ A, slots not yet reduced mod p."""
+    def _sum(self, codes, at=None) -> int:
+        """The packed x @ A, slots not yet reduced mod p; with at, those rows' copies alone."""
         p, m = self.field.p, self.field.m
-        if len(self._rows) == 1:  # digit b of every x_i, for the rows times X^b
+        rows = self._rows if at is None else [map(r.__getitem__, at) for r in self._rows]
+        if len(rows) == 1:  # digit b of every x_i, for the rows times X^b
             digits = [codes]
         elif p == 2:  # nonzero where bit b is set
             digits = (map(and_, codes, repeat(1 << b)) for b in range(m))
         else:
             digits = (map(mod, map(floordiv, codes, repeat(p ** b)), repeat(p)) for b in range(m))
         if p == 2:
-            return reduce(xor, chain.from_iterable(map(compress, self._rows, digits)), 0)
-        return sum(sum(map(mul, scale, rows)) for scale, rows in zip(digits, self._rows))
+            return reduce(xor, chain.from_iterable(map(compress, rows, digits)), 0)
+        return sum(sum(map(mul, scale, copy)) for scale, copy in zip(digits, rows))
 
 
 # Values of an odd Z_p packed into one int, an unsigned array slot each, the first
@@ -455,18 +457,18 @@ def _eliminate(F: Field, a: list[list[int]], ncols: int) -> list[int]:
 def _clear(F: Field, prow: list[int], c: int, rows) -> None:
     """Subtract from each row its entry in column c times prow, whose entry there is 1.
 
-    prow is zero left of c; the logs of -prow right of c are taken once (-1
-    marking a zero), so each row operation adds f times -prow: one log
-    lookup plus one map(addc, ...) over the columns right of c.
+    prow is zero left of c; its nonzero entries right of c are taken once, as
+    (column, log of -entry) pairs, and each row operation adds f times -prow
+    in place on those columns alone: one exp lookup and one addc per pair.
     """
     exp, log, addc, n = F.exp, F.log, F.addc, F.q - 1
     neg = log[F.negc(1)]
-    logs = [(log[v] + neg) % n if v else -1 for v in prow[c + 1:]]
+    pairs = [(j, (log[v] + neg) % n) for j, v in enumerate(prow[c + 1:], c + 1) if v]
     for row in rows:
         if f := row[c]:
-            lf = log[f]
-            row[c], row[c + 1:] = 0, map(addc, row[c + 1:],
-                                         [exp[lf + k] if k >= 0 else 0 for k in logs])
+            lf, row[c] = log[f], 0
+            for j, k in pairs:
+                row[j] = addc(row[j], exp[lf + k])
 
 
 def _back_substitute(F: Field, a: list[list[int]], l: int) -> list[int]:

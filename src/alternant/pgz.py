@@ -13,10 +13,10 @@ pgz and pgzm run one pipeline and differ only in the value stage:
      L's coefficients and the Vandermonde matrix on the support (locate).
   4. The error values: pgz takes the error-evaluator polynomial and
      Forney's formula, pgzm solves the l x l linear system in them.
-  5. The correction is checked against H: the error vector's own syndrome
-     must equal s, which holds exactly when y minus the error has syndrome
-     zero, so a Corrected result is always a genuine codeword within
-     distance t of the input.
+  5. The correction is checked against H: the error's own syndrome, summed
+     over its l columns of H alone, must equal s, which holds exactly when
+     y minus the error has syndrome zero, so a Corrected result is always a
+     genuine codeword within distance t of the input.
 
 Past a nonzero syndrome the decoder holds one report, born a Failure, and
 fills in hankel, l, locator_poly, positions and locators as each stage
@@ -227,11 +227,11 @@ def _decode(y, C: AlternantCode, alg: str) -> DecodeReport:
     if any(v.is_zero for v in values):
         return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)
 
-    e, corrected = [0] * C.n, list(y.codes)
-    for m, v in zip(positions, values):
-        e[m], corrected[m] = v.code, K.subc(corrected[m], v.code)
-    if C.syndrome(Vec(K, e)) != s:
+    if C.syndrome(Vec(K, [v.code for v in values]), at=positions) != s:
         return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)
+    corrected = list(y.codes)
+    for m, v in zip(positions, values):
+        corrected[m] = K.subc(corrected[m], v.code)
 
     rep.status = Status.CORRECTED
     rep.values, rep.evaluator_poly, rep.corrected = tuple(values), E, Vec(K, corrected)

@@ -215,3 +215,40 @@ def test_solve_square_matches_reference(F):
         assert got == _outcome(_solve_square_reference, A, b)
         singular += isinstance(got, tuple)
     assert singular >= 5
+
+
+def _sparse_pivot_rows(F, nrows, ncols, rng):
+    """Rows whose pivot rows are mostly zero, in shuffled order: full rank, pivots 0..nrows-1.
+
+    Row i starts at column i and has at most two more nonzero entries to its
+    right; a third of the rows then get a multiple of an earlier row added,
+    so that pivots have entries below them to clear.
+    """
+    rows = []
+    for i in range(nrows):
+        row = [0] * ncols
+        row[i] = rng.randrange(1, F.q)
+        for j in rng.sample(range(i + 1, ncols), min(rng.randrange(3), ncols - i - 1)):
+            row[j] = rng.randrange(1, F.q)
+        rows.append(row)
+    for i in rng.sample(range(1, nrows), (nrows - 1) // 3 + 1) if nrows > 1 else ():
+        f, j = rng.randrange(1, F.q), rng.randrange(i)
+        rows[i] = [F.addc(x, F.mulc(f, y)) for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("F", [_field(2, 5), FIELDS[-2], FIELDS[-1], _field(5, 2),
+                               _field(3, 4), Z13], ids=lambda F: F.name)
+def test_sparse_pivot_rows_match_reference(F):
+    """Row operations that touch only the pivot row's few nonzero columns."""
+    rng = random.Random(F.q + 2)
+    for trial in range(12):
+        n = rng.randrange(1, 9)
+        M = Mat(F, _sparse_pivot_rows(F, n, n + 1 + trial % 3 * 4, rng))
+        assert gauss_jordan(M) == _gauss_jordan_reference(M)
+        assert gauss_jordan(M.transpose()) == _gauss_jordan_reference(M.transpose())
+        assert _outcome(gj_locator, M) == _outcome(_gj_locator_reference, M)
+        A = Mat(F, _sparse_pivot_rows(F, n, n, rng))
+        b = Vec(F, [rng.randrange(F.q) for _ in range(n)])
+        assert _outcome(solve_square, A, b) == _outcome(_solve_square_reference, A, b)

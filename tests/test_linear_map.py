@@ -7,6 +7,9 @@ fields and over extensions of characteristic 2 and 3 of up to 256 elements
 and beyond, and on inputs whose every coordinate is p - 1,
 where the packed slot sums are widest.  The zero-column readout is checked
 against it at every slot width, on matrices whose columns cancel on purpose.
+A map called on some rows alone (at) must equal the dense call on the word
+that is zero in every other row, and a syndrome on some positions alone the
+syndrome of the scattered word.
 """
 
 import random
@@ -14,10 +17,11 @@ from array import array
 
 import pytest
 
-from alternant.codes import bch, goppa, grs, rs
+from alternant.codes import CodeError, bch, goppa, grs, rs
 from alternant.demo import DEMO_NAMES, demo_code
 from alternant.galois import extension, prime_field
 from alternant.linalg import LinearMap, Mat, Vec
+from alternant.pgz import random_error_vector
 
 Z2 = prime_field(2)
 Z3 = prime_field(3)
@@ -151,6 +155,55 @@ def test_times_x_rows_match_reference_loop(F):
         times = LinearMap(A, F)
         for x in ([F.q - 1] * 6, *_inputs(F, 6, rng)):
             assert times(x) == _times(x, A)
+
+
+F65536 = extension(Z2, [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1])[0]
+
+
+@pytest.mark.parametrize("F, K, nrows, width", [
+    (F729, Z3, 12, 8),
+    (F25, F25, 10, 16),
+    (F729, F729, 14, 16),
+    (Z257, Z257, 9, 32),
+    (Z65521, Z65521, 3, 64),
+    (F32, Z2, 8, None),
+    (F32, F32, 8, None),
+    (F512, Z2, 11, None),
+    (F65536, F65536, 6, None),
+], ids=str)
+def test_map_on_some_rows_matches_the_zero_filled_word(F, K, nrows, width):
+    """x's entries in the rows at alone, against the dense call and the reference loop.
+
+    at is empty, the first row, the last row, three rows out of order, and
+    every row; the entries are random and all q - 1, the widest slot sums.
+    """
+    rng = random.Random(nrows * F.q + K.q)
+    A = Mat(F, [[rng.randrange(F.q) for _ in range(7)] for _ in range(nrows)])
+    times = LinearMap(A, K)
+    if width:
+        assert array(times._typecode).itemsize * 8 == width
+    for at in ([], [0], [nrows - 1], rng.sample(range(nrows), 3), list(range(nrows))):
+        for x in ([rng.randrange(1, K.q) for _ in at], [K.q - 1] * len(at)):
+            full = [0] * nrows
+            for i, v in zip(at, x):
+                full[i] = v
+            assert times(x, at) == times(full) == _times(full, A)
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_syndrome_on_some_positions_matches_the_scattered_word(name):
+    C = demo_code(name)
+    K, rng = C.base_field, random.Random(C.n)
+    for w in range(1, C.t + 2):
+        for _ in range(5):
+            e = random_error_vector(K, C.n, w, rng)
+            at = e.support()
+            assert C.syndrome(Vec(K, [e.codes[i] for i in at]), at=at) == C.syndrome(e)
+    last = [0] * (C.n - 1) + [K.q - 1]
+    assert C.syndrome(Vec(K, [K.q - 1]), at=[C.n - 1]) == C.syndrome(Vec(K, last))
+    for values, at in (([1, 1], [0]), ([1, 1], [2, 2]), ([1], [C.n]), ([1], [-1])):
+        with pytest.raises(CodeError):
+            C.syndrome(values, at=at)
 
 
 def test_map_rejects_a_foreign_input_field():

@@ -4,19 +4,28 @@ Random GRS codes (base field = support field) and AC codes (base field =
 prime subfield) over Z5..Z13, F4..F49, F81, F243 and F512 (n < 25 on the
 last three) get a planted codeword plus an error of every weight 0..n.  The
 planted error is the oracle at weight <= t; above it the decoders are
-checked against the Corrected guarantee and against each other.  Element
-tokens are checked to read back as the element they print, on fields up
-to 2^20.
+checked against the Corrected guarantee and against each other.  The same
+check runs on two code families: Goppa codes over F8..F27, whose g is
+squarefree or has a squared factor, so that both distance bounds (2r + 1
+for a binary squarefree g, r + 1 otherwise) are drawn, and BCH codes over
+F16..F64 with any first root exponent l and a support element alpha of any
+order, primitive or not.  On codes with at most 256 codewords the bound is
+checked against the exact minimum distance.  Element tokens are checked to
+read back as the element they print, on fields up to 2^20.
 """
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from alternant.codes import AlternantCode, grs
-from alternant.galois import FieldElement, extension, get_irreducible_polynomial, prime_field
+from alternant.codes import AlternantCode, bch, goppa, grs
+from alternant.galois import (
+    FieldElement, Poly, extension, get_irreducible_polynomial, prime_field,
+)
 from alternant.linalg import Vec
+from alternant.oracle import min_distance
 from alternant.pgz import Status, pgz, pgzm, random_error_vector
 
 
@@ -45,9 +54,36 @@ def codes(draw):
     return AlternantCode(h, alpha, r, F.prime_subfield())
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(C=codes(), seed=st.integers(0, 2**32))
-def test_decoders_agree_and_keep_the_guarantee(C, seed):
+GOPPA_FIELDS = [_field(p, m) for p, m in ((2, 3), (3, 2), (2, 4), (5, 2), (3, 3))]
+BCH_FIELDS = [_field(p, m) for p, m in ((2, 4), (5, 2), (3, 3), (7, 2), (2, 6))]
+
+
+@st.composite
+def goppa_codes(draw):
+    F = draw(st.sampled_from(GOPPA_FIELDS))
+    r = draw(st.integers(1, 4))
+    g = Poly(F, draw(st.lists(st.integers(0, F.q - 1), min_size=r, max_size=r)) + [1])
+    if r >= 2 and draw(st.booleans()):  # a squared linear factor
+        root = Poly(F, (F.negc(draw(st.integers(0, F.q - 1))), 1))
+        g = root * root * Poly(F, g.codes[2:])
+    points = [c for c in range(1, F.q) if g.at(c)]
+    assume(len(points) > r)
+    n = draw(st.integers(max(r + 1, len(points) // 2), len(points)))
+    return goppa(g, Vec(F, draw(st.permutations(points))[:n]))
+
+
+@st.composite
+def bch_codes(draw):
+    F = draw(st.sampled_from(BCH_FIELDS))
+    alpha = FieldElement(F, F.exp[draw(st.integers(1, F.q - 2))])  # order (q-1)/gcd(k, q-1)
+    n = (F.q - 1) // math.gcd(F.log[alpha.code], F.q - 1)
+    if n < 3:
+        alpha, n = F.first_primitive(), F.q - 1
+    return bch(alpha, draw(st.integers(2, min(n - 1, 9))), draw(st.integers(0, n - 1)))
+
+
+def _check_decoders(C, seed):
+    """Both decoders on a planted codeword plus an error of every weight 0..n."""
     rng = random.Random(seed)
     K = C.base_field
     c = (C.encode(Vec(K, [rng.randrange(K.q) for _ in range(C.k)])) if C.k
@@ -66,6 +102,34 @@ def test_decoders_agree_and_keep_the_guarantee(C, seed):
         if a.status is Status.CORRECTED:
             assert C.is_codeword(a.corrected)
             assert (y - a.corrected).weight() <= C.t
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(C=codes(), seed=st.integers(0, 2**32))
+def test_decoders_agree_and_keep_the_guarantee(C, seed):
+    _check_decoders(C, seed)
+
+
+F8, F16 = GOPPA_FIELDS[0], BCH_FIELDS[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(C=goppa_codes(), seed=st.integers(0, 2**32))
+@example(C=goppa(F8.poly([1, 1, 1]), Vec(F8, range(1, 8))), seed=0)  # squarefree: 2r + 1
+@example(C=goppa(F8.poly([1, 0, 1]), Vec(F8, range(2, 8))), seed=0)  # (x + 1)^2: r + 1
+def test_goppa_codes_keep_the_guarantee_and_the_distance_bound(C, seed):
+    _check_decoders(C, seed)
+    if C.k and C.base_field.q ** C.k <= 256:
+        assert min_distance(C) >= C.d_bound
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(C=bch_codes(), seed=st.integers(0, 2**32))
+@example(C=bch(FieldElement(F16, F16.exp[3]), 3, l=2), seed=0)  # alpha of order 5
+def test_bch_codes_keep_the_guarantee_and_the_distance_bound(C, seed):
+    _check_decoders(C, seed)
+    if C.k and C.base_field.q ** C.k <= 256:
+        assert min_distance(C) >= C.d_bound
 
 
 @pytest.mark.parametrize("p, m", [
