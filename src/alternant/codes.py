@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .galois import Field, FieldElement, Poly, element_order, poly_gcd
 from .linalg import (
-    LinearMap, Mat, Vec, evaluation_map, expand, gauss_jordan, null_space, vandermonde,
+    GJResult, LinearMap, Mat, Vec, evaluation_map, expand, gauss_jordan, null_space, vandermonde,
 )
 
 
@@ -71,7 +71,7 @@ class AlternantCode:
         self._syndrome_map = LinearMap(self.H.transpose(), base_field)
         evaluation_map(alpha, self.t + 1)  # root search on locators of degree <= t
         self._k: int | None = None
-        self._reduced: Mat | None = None  # k's reduced expanded H, for G: one elimination
+        self._reduced: GJResult | None = None  # k's elimination, which G is read off
         self._G: Mat | None = None
         self._encode_map: LinearMap | None = None
 
@@ -79,17 +79,16 @@ class AlternantCode:
 
     @property
     def k(self) -> int:
-        """Dimension over K: n minus the rank of the expanded control matrix."""
+        """Dimension over K: n minus the rank of the expanded H, whose reduction G is read off."""
         if self._k is None:
-            res = gauss_jordan(expand(self.H, self.base_field))
-            self._reduced = Mat(res.rref.field, res.rref.rows[:res.rank], ncols=self.n)
-            self._k = self.n - res.rank
+            self._reduced = gauss_jordan(expand(self.H, self.base_field))
+            self._k = self.n - self._reduced.rank
         return self._k
 
     @property
     def d_bound(self) -> int:
-        """Guaranteed lower bound on the minimum distance."""
-        return self.params.get("d_bound", self.r + 1)
+        """Guaranteed lower bound on the minimum distance, never above Singleton's n - k + 1."""
+        return min(self.params.get("d_bound", self.r + 1), self.n - self.k + 1)
 
     @property
     def d_exact(self) -> int | None:
@@ -101,7 +100,7 @@ class AlternantCode:
         if self._G is None:
             if self.k == 0:
                 raise CodeError(f"{self.describe()} has dimension 0")
-            G, self._reduced = null_space(self._reduced), None  # reduced already: one pass
+            G, self._reduced = null_space(self._reduced), None  # k's reduction: one pass
             assert G.nrows == self.k
             self._encode_map = LinearMap(G, self.base_field)  # before _G: whoever sees _G finds it
             self._G = G

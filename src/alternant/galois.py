@@ -166,11 +166,11 @@ class Field:
 
         if p == 2:  # a code's bits are its coordinates: + and - are XOR, -a is a
             return xor, xor, pos, and_ if self.m == 1 else mulc
-        # a + b = a (1 + g^(log b - log a)); zech[k] = log(1 + g^k), or 0 where
-        # 1 + g^k = 0, over two periods so every log difference below indexes it
+        # a + b = a (1 + g^(log b - log a)); zech[k] = log(1 + g^k), or 0 where 1 + g^k
+        # = 0, periodic in q - 1: one period, doubled so every log difference indexes it
         log1 = log[1:] + log[:1]  # log(1 + c): 1 + c bumps the constant digit,
         log1[p - 1::p] = log[::p]  # wrapping p - 1 to 0
-        zech = array("i", map(log1.__getitem__, exp))
+        zech = array("i", map(log1.__getitem__, exp[:self.q - 1])) * 2
         half = (self.q - 1) // 2  # -1 = g^half
 
         def addc(a: int, b: int) -> int:
@@ -492,11 +492,10 @@ def extension(K: Field, modulus, gen_label: str = "a") -> tuple[Field, FieldElem
     if K.p ** m > _ORDER_CAP:
         raise ValueError(
             f"field size {K.p}^{m} exceeds the cap 2^20")
-    factor = _find_monic_factor(f)
-    if factor is not None:
-        raise ValueError(f"modulus {f} is reducible: divisible by {factor}")
     key = (K.p, f.codes, gen_label)
-    if key not in _FIELDS:
+    if key not in _FIELDS:  # a field already built has had its modulus tested
+        if (factor := _find_monic_factor(f)) is not None:
+            raise ValueError(f"modulus {f} is reducible: divisible by {factor}")
         _FIELDS[key] = Field(K.p, f.codes, gen_label=gen_label)
     F = _FIELDS[key]
     return F, F.gen

@@ -219,7 +219,7 @@ class LinearMap:
     of x @ A, ORs each column's m bits into its lowest with ceil(log2 m)
     shift-ORs and reads the clear ones.
     For odd p a slot holds nrows * d * (p-1)^2, the largest slot sum, so no
-    slot carries into the next (Kronecker substitution).
+    slot carries (Kronecker substitution); _digits reads A's and x's digits.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_typecode", "_folds", "_low")
@@ -236,9 +236,9 @@ class LinearMap:
             self._folds = [min(1 << i, m - (1 << i)) for i in range((m - 1).bit_length())]
             self._low = int(("0" * (m - 1) + "1") * self.ncols, 2)
         else:
-            def pack(row):
-                return _pack_slots(row if m == 1 else [g for c in row for g in F.coords_code(c)],
-                                   self._typecode)
+            def pack(row):  # column j's m slots hold its coordinates, constant first
+                return _pack_slots(row if m == 1 else chain.from_iterable(
+                    zip(*(_digits(row, p, b) for b in range(m)))), self._typecode)
             self._typecode = _slot_type(A.nrows * K.m * (p - 1) ** 2)
         # _rows[b][i]: row i times X^b, packed
         self._rows = [[pack(row) for row in A.rows]]
@@ -286,10 +286,15 @@ class LinearMap:
         elif p == 2:  # nonzero where bit b is set
             digits = (map(and_, codes, repeat(1 << b)) for b in range(m))
         else:
-            digits = (map(mod, map(floordiv, codes, repeat(p ** b)), repeat(p)) for b in range(m))
+            digits = (_digits(codes, p, b) for b in range(m))
         if p == 2:
             return reduce(xor, chain.from_iterable(map(compress, rows, digits)), 0)
         return sum(sum(map(mul, scale, copy)) for scale, copy in zip(digits, rows))
+
+
+def _digits(codes, p: int, b: int):
+    """Digit b of each code in base p: its coordinate at X^b over Z_p."""
+    return map(mod, map(floordiv, codes, repeat(p ** b)), repeat(p))
 
 
 # Values of an odd Z_p packed into one int, an unsigned array slot each, the first
@@ -524,29 +529,26 @@ def expand(M: Mat, K: Field) -> Mat:
         return M
     if K.m != 1 or K.p != F.p:
         raise TypeError(f"{K.name} is not the prime subfield of {F.name}")
-    return Mat(K, (map(mod, map(floordiv, row, repeat(F.p ** b)), repeat(F.p))  # digit b
-                   for row in M.rows for b in range(F.m)), ncols=M.ncols)
+    return Mat(K, (_digits(row, F.p, b) for row in M.rows for b in range(F.m)), ncols=M.ncols)
 
 
-def null_space(M: Mat) -> Mat:
-    """Rows form a deterministic basis of {x : M @ x = 0}.
+def null_space(M: Mat | GJResult) -> Mat:
+    """Rows form a deterministic basis of {x : M @ x = 0}; handed gauss_jordan's result
+    for M, it reads the basis off that reduction instead of eliminating M again.
 
     May have zero rows (full column rank).  Basis vectors are indexed by the
     free columns of the reduced form, ascending, via back-substitution.
     """
-    F = M.field
-    res = gauss_jordan(M)
-    piv = res.pivots
-    free = sorted(set(range(M.ncols)).difference(piv))
-    negc = F.negc
-    out = []
-    for f in free:
-        x = [0] * M.ncols
+    res = M if isinstance(M, GJResult) else gauss_jordan(M)
+    F, ncols, piv = res.rref.field, res.rref.ncols, res.pivots
+    negc, out = F.negc, []
+    for f in sorted(set(range(ncols)).difference(piv)):
+        x = [0] * ncols
         x[f] = 1
         for pc, row in zip(piv, res.rref.rows):
             x[pc] = negc(row[f])
         out.append(x)
-    return Mat(F, out, ncols=M.ncols)
+    return Mat(F, out, ncols=ncols)
 
 
 def solve_square(A: Mat, b: Vec) -> Vec:

@@ -14,6 +14,7 @@ from alternant.codes import AlternantCode, CodeError, bch, goppa, grs, prs, rs
 from alternant.demo import DEMO_NAMES, demo_code
 from alternant.galois import extension, prime_field
 from alternant.linalg import Mat, Vec, expand, gauss_jordan, null_space, rank, vandermonde
+from alternant.oracle import min_distance
 
 Z2 = prime_field(2)
 Z7 = prime_field(7)
@@ -114,6 +115,13 @@ def test_toy_binary_goppa():
     assert rank(expand(C.H, Z2)) == 6
 
 
+def test_distance_bound_never_exceeds_singleton():
+    """Three support points: 2r + 1 = 5, but dimension 0 caps d at n - k + 1 = 4."""
+    C = goppa(F8.poly([1, 1, 1]), Vec(F8, [1, 2, 3]))
+    assert (C.n, C.r, C.k) == (3, 2, 0)
+    assert C.d_bound == 4 == min_distance(C)  # min_distance: n + 1 for dimension 0
+
+
 def test_goppa_bound_requires_binary():
     # same squarefree degree-2 polynomial shape over a 5^2 field keeps r+1
     C = demo_code("goppa19")
@@ -174,13 +182,15 @@ def test_generator_rows_are_codewords(name):
     lambda: prs(Z13, 5),
 ], ids=["bch31", "goppa31", "prs13"])
 def test_dimension_and_generator_share_one_elimination(make, monkeypatch):
+    """k's one gauss_jordan result is handed to null_space itself: G is read off it."""
     C = make()
-    eliminated, kernels = [], []
-    monkeypatch.setattr(codes, "gauss_jordan", lambda M: eliminated.append(M) or gauss_jordan(M))
+    reductions, kernels = [], []
+    monkeypatch.setattr(codes, "gauss_jordan",
+                        lambda M: reductions.append(gauss_jordan(M)) or reductions[-1])
     monkeypatch.setattr(codes, "null_space", lambda M: kernels.append(M) or null_space(M))
     assert C.k == C.generator_matrix().nrows
-    assert len(eliminated) == len(kernels) == 1
-    assert gauss_jordan(kernels[0]).rref == kernels[0]  # already reduced: no second elimination
+    assert len(reductions) == len(kernels) == 1
+    assert kernels[0] is reductions[0]
     assert C.generator_matrix() == null_space(expand(C.H, C.base_field))
 
 

@@ -10,6 +10,8 @@ The _reference functions below are the full Gauss-Jordan loop all three ran
 before, kept here verbatim.  Every path takes the same pivots and the
 reduced form is unique, so the whole GJResult, every locator and every
 solution must match, and so must the class and message of every exception.
+null_space, handed either reduction, must give the basis it finds by
+eliminating the matrix itself.
 """
 
 import random
@@ -22,7 +24,7 @@ from alternant.demo import DEMO_NAMES, demo_code
 from alternant.galois import extension, get_irreducible_polynomial, prime_field
 from alternant.linalg import (
     GJResult, MalformedSyndromeStructure, Mat, SingularSystem, Vec,
-    _SLOT_BYTES, _slot_type, gauss_jordan, gj_locator, hankel_matrix, solve_square,
+    _SLOT_BYTES, _slot_type, gauss_jordan, gj_locator, hankel_matrix, null_space, solve_square,
 )
 from alternant.pgz import random_error_vector
 
@@ -140,6 +142,17 @@ def _matrices(F):
                                for F in FIELDS for label, M in _matrices(F)])
 def test_gauss_jordan_matches_reference(M):
     assert gauss_jordan(M) == _gauss_jordan_reference(M)
+
+
+@pytest.mark.parametrize("M", [pytest.param(M, id=f"{F.name} {label}")
+                               for F in FIELDS for label, M in _matrices(F)])
+def test_null_space_reads_a_given_reduction(M):
+    """Handed a reduction, null_space gives the basis it finds by eliminating M itself."""
+    N = null_space(M)
+    assert null_space(gauss_jordan(M)) == N == null_space(_gauss_jordan_reference(M))
+    assert N.nrows == M.ncols - gauss_jordan(M).rank
+    if M.nrows:  # every basis row is in the kernel
+        assert all((M @ N.row(i)).is_zero for i in range(N.nrows))
 
 
 @pytest.mark.parametrize("p, size, width", [

@@ -9,7 +9,8 @@ where the packed slot sums are widest.  The zero-column readout is checked
 against it at every slot width, on matrices whose columns cancel on purpose.
 A map called on some rows alone (at) must equal the dense call on the word
 that is zero in every other row, and a syndrome on some positions alone the
-syndrome of the scattered word.
+syndrome of the scattered word.  Over an odd p the packed rows must equal
+those packed by the per-entry coordinate reader they were built with before.
 """
 
 import random
@@ -20,7 +21,7 @@ import pytest
 from alternant.codes import CodeError, bch, goppa, grs, rs
 from alternant.demo import DEMO_NAMES, demo_code
 from alternant.galois import extension, prime_field
-from alternant.linalg import LinearMap, Mat, Vec
+from alternant.linalg import LinearMap, Mat, Vec, _pack_slots, _slot_type
 from alternant.pgz import random_error_vector
 
 Z2 = prime_field(2)
@@ -204,6 +205,30 @@ def test_syndrome_on_some_positions_matches_the_scattered_word(name):
     for values, at in (([1, 1], [0]), ([1, 1], [2, 2]), ([1], [C.n]), ([1], [-1])):
         with pytest.raises(CodeError):
             C.syndrome(values, at=at)
+
+
+def _odd_rows_reference(A, K):
+    """LinearMap's packed rows over an odd p, packed as before: coords_code once per entry."""
+    F, p = A.field, A.field.p
+    typecode = _slot_type(A.nrows * K.m * (p - 1) ** 2)
+
+    def pack(row):
+        return _pack_slots([g for c in row for g in F.coords_code(c)], typecode)
+    return [[pack([F.mulc(p ** b, c) for c in row]) for row in A.rows] for b in range(K.m)]
+
+
+F81, _ = extension(Z3, [2, 0, 0, 1, 1])
+F19683, _ = extension(Z3, [1, 0, 1, 2, 0, 0, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("F", [F25, F81, F243, F19683], ids=lambda F: F.name)
+def test_odd_packed_rows_match_the_coords_code_packing(F):
+    rng = random.Random(F.q + 3)
+    for K in (F, F.prime_subfield()):
+        for nrows, ncols in ((1, 1), (5, 9), (30, 4)):
+            for A in (Mat(F, [[rng.randrange(F.q) for _ in range(ncols)] for _ in range(nrows)]),
+                      Mat(F, [[F.q - 1] * ncols] * nrows)):
+                assert LinearMap(A, K)._rows == _odd_rows_reference(A, K)
 
 
 def test_map_rejects_a_foreign_input_field():

@@ -84,6 +84,7 @@ def bch_codes(draw):
 
 def _check_decoders(C, seed):
     """Both decoders on a planted codeword plus an error of every weight 0..n."""
+    assert C.d_bound <= C.n - C.k + 1  # Singleton
     rng = random.Random(seed)
     K = C.base_field
     c = (C.encode(Vec(K, [rng.randrange(K.q) for _ in range(C.k)])) if C.k
