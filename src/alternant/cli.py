@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import random
 import statistics
 import sys
@@ -109,6 +110,9 @@ def _stream(args, K: Field, handle) -> None:
     from parsing or from handle becomes a CodeSpecError naming the line.
     Bytes that are not UTF-8 reach the parser escaped, so they fail there.
     """
+    if "-" not in (args.infile, args.outfile) and os.path.isfile(args.outfile) \
+            and os.path.samefile(args.infile, args.outfile):
+        raise CodeSpecError(f"--out {args.outfile} is the --in file")
     with _open(args.infile, "r") as fin, _open(args.outfile, "w") as fout:
         if hasattr(fin, "reconfigure"):
             fin.reconfigure(errors="surrogateescape")
@@ -231,11 +235,10 @@ def cmd_bench(args) -> int:
                 reps.append(decoder(y, C))
                 times.append((time.perf_counter() - t0) * 1e3)
             reports[name] = reps
-            if times:
-                print(f"{w:>6} {name:>5} {len(times):>6} "
-                      f"{statistics.mean(times):>9.3f} "
-                      f"{statistics.median(times):>9.3f}")
-        for ra, rb in zip(reports.get("pgz", ()), reports.get("pgzm", ())):
+            print(f"{w:>6} {name:>5} {len(times):>6} "
+                  f"{statistics.mean(times):>9.3f} "
+                  f"{statistics.median(times):>9.3f}")
+        for ra, rb in zip(reports["pgz"], reports["pgzm"]):
             paired += 1
             same = (ra.status is rb.status and ra.positions == rb.positions
                     and [v.code for v in ra.values] == [v.code for v in rb.values])
@@ -322,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="demo code name or description path (default prs13)")
     p.add_argument("--trials", type=_positive_int, default=25, help="trials per weight")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-checks", type=int, default=OracleBudget().max_checks,
+    p.add_argument("--max-checks", type=_positive_int, default=OracleBudget().max_checks,
                    help="oracle enumeration cap")
     return parser
 

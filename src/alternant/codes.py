@@ -13,12 +13,18 @@ from __future__ import annotations
 
 from .galois import Field, FieldElement, Poly, element_order, poly_gcd
 from .linalg import (
-    GJResult, LinearMap, Mat, Vec, evaluation_map, expand, gauss_jordan, null_space, vandermonde,
+    GJResult, LinearMap, Mat, Vec, expand, gauss_jordan, null_space, vandermonde,
 )
 
 
 class CodeError(ValueError):
     """Raised for invalid code constructions or arguments."""
+
+
+class _Support(Vec):
+    """A code's own copy of its support, holding the map pgz.locate finds roots with."""
+
+    __slots__ = ("root_map",)
 
 
 class AlternantCode:
@@ -55,7 +61,7 @@ class AlternantCode:
             if c == 0:
                 raise CodeError(f"h[{i}] is zero")
         self.h = h
-        self.alpha = alpha
+        self.alpha = alpha = _Support(F, alpha.codes)
         self.r = r
         self.n = n
         self.base_field = base_field
@@ -69,7 +75,7 @@ class AlternantCode:
         self.H = Mat(F, ((mulc(v, hc) for v, hc in zip(row, h.codes))
                          for row in V.rows), ncols=n)
         self._syndrome_map = LinearMap(self.H.transpose(), base_field)
-        evaluation_map(alpha, self.t + 1)  # root search on locators of degree <= t
+        alpha.root_map = LinearMap(Mat(F, V.rows[:self.t + 1]), F)  # locators of degree <= t
         self._k: int | None = None
         self._reduced: GJResult | None = None  # k's elimination, which G is read off
         self._G: Mat | None = None

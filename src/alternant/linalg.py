@@ -347,20 +347,6 @@ def vandermonde(r: int, alphas: Vec) -> Mat:
     return Mat(F, rows)
 
 
-_EVALUATION_MAPS: dict[Vec, LinearMap] = {}
-
-
-def evaluation_map(alphas: Vec, r: int) -> LinearMap:
-    """x -> x @ vandermonde(r' >= r, alphas): coefficients to values on the support.
-
-    One map per support is kept for the life of the process, rebuilt when r grows.
-    """
-    M = _EVALUATION_MAPS.get(alphas)
-    if M is None or M.nrows < r:
-        M = _EVALUATION_MAPS[alphas] = LinearMap(vandermonde(r, alphas), alphas.field)
-    return M
-
-
 def hankel_matrix(s: Vec, t: int) -> Mat:
     """The t x (t+1) Hankel matrix with entry (i, j) = s[i+j].
 

@@ -35,8 +35,8 @@ from enum import Enum
 
 from .galois import Field, FieldElement, Poly, pull
 from .linalg import (
-    Mat, MalformedSyndromeStructure, SingularSystem, Vec,
-    evaluation_map, gj_locator, hankel_matrix, solve_square,
+    LinearMap, Mat, MalformedSyndromeStructure, SingularSystem, Vec,
+    gj_locator, hankel_matrix, solve_square, vandermonde,
 )
 from .codes import AlternantCode
 
@@ -136,9 +136,13 @@ def locate(L: Poly, alphas: Vec) -> tuple[tuple[int, ...], tuple[FieldElement, .
     """Positions (ascending) and values of L's roots among the support entries.
 
     A Chien search for any support: the roots are the zero columns of L's
-    coefficients times the Vandermonde matrix on alphas (evaluation_map).
+    coefficients times the Vandermonde matrix on alphas.  A code's support
+    holds its first t+1 rows (root_map); any other call builds rows and drops them.
     """
-    positions = tuple(evaluation_map(alphas, len(L.codes) or 1).zeros(L.codes))
+    rows, M = len(L.codes) or 1, getattr(alphas, "root_map", None)
+    if M is None or M.nrows < rows:
+        M = LinearMap(vandermonde(rows, alphas), alphas.field)
+    positions = tuple(M.zeros(L.codes))
     return positions, tuple(alphas[i] for i in positions)
 
 

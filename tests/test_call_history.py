@@ -8,8 +8,8 @@ fields under another generator label, the benchmark codes bch255, bch511
 and rs64 (read from perfbench/codes, which this test only reads), and every
 demo code in reverse order, and runs root searches of higher degree on
 every demo support reversed and on the support itself.  That fills the
-process-wide caches (galois._FIELDS, linalg._EVALUATION_MAPS and
-demo._CODES) with everything they may hold; the digests must still agree.
+process-wide caches (galois._FIELDS and demo._CODES) with everything they
+may hold; the digests must still agree.
 """
 
 import hashlib

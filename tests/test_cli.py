@@ -263,6 +263,30 @@ def test_bad_line_exits_3_naming_it_after_the_words_before(
     assert out == before  # every word before the bad line, nothing after
 
 
+@pytest.mark.parametrize("out_name", ["m.txt", "./m.txt"])
+@pytest.mark.parametrize("in_name", ["m.txt", "./m.txt"])
+@pytest.mark.parametrize("command", ["encode", "corrupt", "decode"])
+def test_out_naming_the_in_file_is_refused(command, in_name, out_name, tmp_path,
+                                           capsys, monkeypatch):
+    # opening --out would truncate --in before its first line is read
+    monkeypatch.chdir(tmp_path)
+    data = PRS13_GOOD[command].encode() + b"\n"
+    (tmp_path / "m.txt").write_bytes(data)
+    args = [command, "--code", "prs13"] + (["--seed", "4"] if command == "corrupt" else [])
+    assert main(args + ["--in", in_name, "--out", out_name]) == EXIT_SPEC_ERROR
+    captured = capsys.readouterr()
+    assert (tmp_path / "m.txt").read_bytes() == data
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"alternant: --out {out_name} is the --in file\n"
+
+
+def test_in_and_out_on_one_device_are_not_refused(capsys):
+    # only a regular file is truncated by opening it for writing
+    assert main(["encode", "--code", "prs13", "--in", "/dev/null",
+                 "--out", "/dev/null"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_non_utf8_stdin_in_a_child_process(tmp_path):
     # a strict stdin decoder, as under en_US.UTF-8, must not end in a traceback
     src = str(Path(alternant.__file__).resolve().parent.parent)
@@ -371,6 +395,17 @@ def test_trials_must_be_positive(capsys):
         out, err = capsys.readouterr()
         assert "OK" not in out
         assert "--trials: must be a positive integer" in err
+
+
+def test_max_checks_must_be_positive(capsys):
+    # a cap below 1 is a bad argument (exit 3), not an exceeded budget (exit 4)
+    for value in ("-1", "0", "many"):
+        with pytest.raises(SystemExit) as ei:
+            main(["selftest", "--trials", "1", "--max-checks", value])
+        assert ei.value.code == EXIT_SPEC_ERROR
+        out, err = capsys.readouterr()
+        assert "OK" not in out and "budget exceeded" not in err
+        assert "--max-checks: must be a positive integer" in err
 
 
 def test_selftest(capsys):
