@@ -132,38 +132,36 @@ def code_from_dict(desc) -> AlternantCode:
             f"unknown kind {kind!r}; expected one of {', '.join(_KIND_KEYS)}")
     _check_keys(desc, ("kind", "field") + _KIND_KEYS[kind], f"kind {kind}")
     F = build_field(_need(desc, "field", "code description"))
+
+    def vec(key):
+        return F.vec(_elements(F, _need(desc, key, kind), key))
+
+    def num(key):
+        return _int(_need(desc, key, kind), key)
+
     try:
         if kind == "AC":
-            h = F.vec(_elements(F, _need(desc, "h", "AC"), "h"))
-            a = F.vec(_elements(F, _need(desc, "a", "AC"), "a"))
-            r = _int(_need(desc, "r", "AC"), "r")
-            return AlternantCode(h, a, r, F.prime_subfield())
+            return AlternantCode(vec("h"), vec("a"), num("r"), F.prime_subfield())
         if kind == "RS":
-            a = F.vec(_elements(F, _need(desc, "a", "RS"), "a"))
-            return rs(a, _int(_need(desc, "k", "RS"), "k"))
+            return rs(vec("a"), num("k"))
         if kind == "GRS":
-            h = F.vec(_elements(F, _need(desc, "h", "GRS"), "h"))
-            a = F.vec(_elements(F, _need(desc, "a", "GRS"), "a"))
-            return grs(h, a, _int(_need(desc, "k", "GRS"), "k"))
+            return grs(vec("h"), vec("a"), num("k"))
         if kind == "PRS":
-            return prs(F, _int(_need(desc, "k", "PRS"), "k"))
+            return prs(F, num("k"))
         if kind == "BCH":
-            alpha = _element(F, _need(desc, "alpha", "BCH"), "alpha")
-            d = _int(_need(desc, "d", "BCH"), "d")
-            l = _int(desc.get("l", 1), "l")
-            return bch(alpha, d, l)
+            alpha = _element(F, _need(desc, "alpha", kind), "alpha")
+            return bch(alpha, num("d"), _int(desc.get("l", 1), "l"))
         # Goppa
-        raw_g = _need(desc, "g", "Goppa")
+        raw_g = _need(desc, "g", kind)
         if not isinstance(raw_g, list):
             raise CodeSpecError("g must be a list of ascending coefficients")
         g = Poly(F, [c.code for c in _elements(F, raw_g, "g")])
-        raw_a = _need(desc, "a", "Goppa")
-        if raw_a == "all-nonroots":
+        if desc.get("a") == "all-nonroots":
             # support elements must be invertible, so zero is skipped even
             # when it is not a root of g
             a = Vec(F, [c for c in range(1, F.q) if g.at(c)])
         else:
-            a = F.vec(_elements(F, raw_a, "a"))
+            a = vec("a")
         return goppa(g, a)
     except CodeSpecError:
         raise

@@ -245,7 +245,9 @@ class Field:
         if isinstance(spec, (list, tuple)):
             if len(spec) > self.m:
                 raise ValueError(f"{len(spec)} coordinates exceed degree {self.m}")
-            coords = [int(c) % self.p for c in spec]
+            if any(isinstance(c, bool) or not isinstance(c, int) for c in spec):
+                raise TypeError(f"coordinates must be integers, got {spec!r}")
+            coords = [c % self.p for c in spec]
             coords += [0] * (self.m - len(coords))
             return FieldElement(self, self._encode(coords))
         if isinstance(spec, str):
@@ -345,12 +347,6 @@ class Field:
     def __repr__(self):
         return self.name
 
-    def __len__(self):
-        return self.q
-
-    def __iter__(self):
-        return self.elements()
-
 
 class FieldElement:
     """An element of a Field, identified by its canonical integer code."""
@@ -425,9 +421,6 @@ class FieldElement:
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.powc(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.invc(self.code))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):

@@ -141,10 +141,6 @@ class Mat:
     def of(cls, field: Field, rows) -> "Mat":
         return cls(field, ((field.element(v).code for v in row) for row in rows))
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Mat":
-        return cls(field, ((1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -18,11 +18,14 @@ pgz and pgzm run one pipeline and differ only in the value stage:
      y minus the error has syndrome zero, so a Corrected result is always a
      genuine codeword within distance t of the input.
 
-Past a nonzero syndrome the decoder holds one report, born a Failure, and
-fills in hankel, l, locator_poly, positions and locators as each stage
-finishes.  A failing check stops the pipeline there: the report names the
-reason and keeps the stages before it.  Values, the evaluator polynomial
-and the corrected word are filled in only once the final check passes.
+Everything after computing s is _decode_syndrome(s, C, alg), which takes no
+word: _decode checks y, hands the core C.syndrome(y) and forms y minus the
+error, so a decode reads y only through its syndrome and that subtraction.
+Past a nonzero syndrome the core holds one report, born a Failure, and fills
+in hankel, l, locator_poly, positions and locators as each stage finishes.
+A failing check stops the pipeline there: the report names the reason and
+keeps the stages before it.  Values and the evaluator polynomial are filled
+in only once the final check passes, and the corrected word after it.
 Forney's single points are evaluated on raw integer codes (Poly.at);
 FieldElements are built only for what the report holds.
 """
@@ -177,7 +180,6 @@ def _decode(y, C: AlternantCode, alg: str) -> DecodeReport:
     if not isinstance(y, (Vec, list, tuple)):
         raise TypeError(f"{alg}: Argument is not a vector")
     K = C.base_field
-    F = C.ext_field
     try:
         y = Vec.of(K, y) if not isinstance(y, Vec) else y
     except (ValueError, TypeError) as exc:
@@ -188,14 +190,26 @@ def _decode(y, C: AlternantCode, alg: str) -> DecodeReport:
         raise ValueError(f"{alg}: Vector argument has wrong length "
                          f"({len(y)}, expected {C.n})")
 
-    s = C.syndrome(y)
+    rep = _decode_syndrome(C.syndrome(y), C, alg)
+    if rep.status is Status.NO_ERROR:
+        rep.corrected = y
+    elif rep.ok:
+        corrected = list(y.codes)
+        for m, v in zip(rep.positions, rep.values):
+            corrected[m] = K.subc(corrected[m], v.code)
+        rep.corrected = Vec(K, corrected)
+    return rep
+
+
+def _decode_syndrome(s: Vec, C: AlternantCode, alg: str) -> DecodeReport:
+    """The decode of a received word with syndrome s, but for corrected, left None."""
     if s.is_zero:
-        return DecodeReport(alg, Status.NO_ERROR, s, message=f"{alg}: Input is a code vector",
-                            corrected=y)
+        return DecodeReport(alg, Status.NO_ERROR, s, message=f"{alg}: Input is a code vector")
 
     rep = DecodeReport(alg, Status.FAILURE, s)
     if C.t == 0:
         return _fail(rep, FailureReason.DEFECTIVE_ERROR_LOCATION)
+    K, F = C.base_field, C.ext_field
     rep.hankel = S = hankel_matrix(s, C.t)
     try:
         neg_rev = gj_locator(S)
@@ -233,12 +247,8 @@ def _decode(y, C: AlternantCode, alg: str) -> DecodeReport:
 
     if C.syndrome(Vec(K, [v.code for v in values]), at=positions) != s:
         return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)
-    corrected = list(y.codes)
-    for m, v in zip(positions, values):
-        corrected[m] = K.subc(corrected[m], v.code)
-
     rep.status = Status.CORRECTED
-    rep.values, rep.evaluator_poly, rep.corrected = tuple(values), E, Vec(K, corrected)
+    rep.values, rep.evaluator_poly = tuple(values), E
     return rep
 
 

@@ -183,6 +183,14 @@ def test_unknown_kind_file(tmp_path, capsys):
     assert "alternant: unknown kind" in capsys.readouterr().err
 
 
+def test_coordinates_that_are_not_integers_exit_3(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "BCH", "field": {"p": 3, "m": 2}, "alpha": [0.5, 1.7], "d": 3}')
+    assert main(["params", "--code", str(path)]) == EXIT_SPEC_ERROR
+    err = capsys.readouterr().err
+    assert "alpha: coordinates must be integers" in err and "Traceback" not in err
+
+
 def test_missing_code_file(capsys):
     assert main(["params", "--code", "/nonexistent.json"]) == EXIT_SPEC_ERROR
     assert "cannot read" in capsys.readouterr().err

@@ -63,7 +63,7 @@ def test_rs_multiplier_formula():
         for j in range(4):
             if j != i:
                 prod = prod * (a[j] - a[i])
-        assert C.h[i] == prod.inverse()
+        assert C.h[i] == 1 / prod
     assert C.r == 2 and C.kind == "RS"
 
 

@@ -1,13 +1,14 @@
 """Every coset of small codes, decoded by both decoders: an exhaustive certificate.
 
-_decode reads a received word y only through its syndrome, apart from
-forming the corrected word y - e.  The words supported on the pivot columns
-of gauss_jordan(expand(H, K)) have every syndrome exactly once, one word per
-coset, so decoding all q^(n-k) of them covers every one of the q^n received
-words.  A bounded-distance decoder answers NoError or Corrected on exactly
-the cosets whose leader has weight <= t; since d >= 2t + 1 those leaders are
-unique, and there are N_t = sum_{w <= t} C(n, w) (q - 1)^w of them.  So
-certify asserts, on every coset:
+pgz and pgzm run every stage in pgz._decode_syndrome, which takes the
+syndrome C.syndrome(y) and no word; _decode reads y otherwise only to check
+it and to form the corrected word y - e.  The words supported on the pivot
+columns of gauss_jordan(expand(H, K)) have every syndrome exactly once, one
+word per coset, so decoding all q^(n-k) of them covers every one of the q^n
+received words.  A bounded-distance decoder answers NoError or Corrected on
+exactly the cosets whose leader has weight <= t; since d >= 2t + 1 those
+leaders are unique, and there are N_t = sum_{w <= t} C(n, w) (q - 1)^w of
+them.  So certify asserts, on every coset:
   - every Corrected word is a codeword within t of its input;
   - pgz and pgzm agree on status, positions, values and the corrected word
     (not on FailureReason, which differs on some failure cosets of r = 3

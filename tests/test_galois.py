@@ -5,6 +5,7 @@ random sampling elsewhere.  Irreducibility results are cross-checked with a
 Frobenius-based test that shares no code with the library's trial division.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 
 import alternant
 
-from alternant.codespec import load_code
+from alternant.codespec import CodeSpecError, load_code, parse_code
 from alternant.galois import (
     NEG_INF,
     Field,
@@ -426,6 +427,16 @@ def test_element_parsing_errors():
         F25.element(2.5)
 
 
+@pytest.mark.parametrize("coords", [[True, 2], ["1", 2], [0.5, 1.7], (2, False)], ids=repr)
+def test_coordinate_lists_take_only_integers(coords):
+    # each coordinate obeys the rule for a bare scalar: an int that is not a bool
+    with pytest.raises(TypeError, match="coordinates must be integers"):
+        F25.element(coords)
+    desc = {"kind": "BCH", "field": {"p": 3, "m": 2}, "alpha": list(coords), "d": 3}
+    with pytest.raises(CodeSpecError, match="alpha: coordinates must be integers"):
+        parse_code(json.dumps(desc))
+
+
 @pytest.mark.parametrize("F", [Z13, F25, F32, *LARGE], ids=lambda f: f.name)
 def test_format_roundtrip(F):
     for code in range(F.q):
@@ -611,9 +622,7 @@ def test_element_equality_hash_and_display():
 
 
 def test_field_protocol():
-    assert len(F25) == 25 and len(Z13) == 13
-    assert [x.code for x in F25] == list(range(25))
-    assert [x.code for x in iter(Z13)] == list(range(13))
+    assert F25.q == 25 and Z13.q == 13
     with pytest.raises(ZeroDivisionError, match="no discrete log"):
         F25.log_code(0)
     with pytest.raises(ValueError, match="no generator"):

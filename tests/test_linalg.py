@@ -116,7 +116,7 @@ def test_mat_basics():
     assert M.shape == (2, 3)
     assert M.row(0) == Vec(Z13, (1, 2, 3))
     assert M.transpose().transpose() == M
-    assert Mat.identity(Z13, 3) @ M.transpose() == M.transpose()
+    assert Mat.of(Z13, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) @ M.transpose() == M.transpose()
     with pytest.raises(ValueError):
         Mat(Z13, [[1, 2], [3]])
     with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ def test_gauss_jordan_properties():
 
 def test_rank_edges():
     assert rank(Mat.of(Z13, [[0, 0], [0, 0]])) == 0
-    assert rank(Mat.identity(Z13, 4)) == 4
+    assert rank(Mat.of(Z13, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])) == 4
     assert rank(Mat(Z13, [], ncols=3)) == 0
 
 
@@ -313,7 +313,7 @@ def test_null_space_properties():
 
 
 def test_null_space_full_column_rank():
-    N = null_space(Mat.identity(Z13, 3))
+    N = null_space(Mat.of(Z13, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert N.shape == (0, 3)
 
 
@@ -345,6 +345,6 @@ def test_solve_square_shape_errors():
     with pytest.raises(ValueError):
         solve_square(Mat.of(Z13, [[1, 2]]), Vec(Z13, (1,)))
     with pytest.raises(ValueError):
-        solve_square(Mat.identity(Z13, 2), Vec(Z13, (1, 2, 3)))
+        solve_square(Mat.of(Z13, [[1, 0], [0, 1]]), Vec(Z13, (1, 2, 3)))
     with pytest.raises(SingularSystem):
         solve_square(Mat.of(Z13, [[1, 2], [2, 4]]), Vec(Z13, (1, 1)))

@@ -5,18 +5,21 @@ fixed seeds and verify decoder output against the error that was planted,
 which is an oracle the decoder never sees.
 """
 
+import dataclasses
 import random
 
 import pytest
+from low_weight import errors, exhaust
 
 from alternant.codes import bch
-from alternant.demo import demo_code
+from alternant.demo import DEMO_NAMES, demo_code
 from alternant.galois import Poly, extension, prime_field
 from alternant.linalg import Mat, Vec
 from alternant.pgz import (
     DecodeReport,
     FailureReason,
     Status,
+    _decode_syndrome,
     alt_error_evaluator,
     error_evaluator,
     forney,
@@ -180,6 +183,32 @@ def test_decoders_agree_and_fix_planted_errors():
             assert a.l == b.l == w
 
 
+def test_a_decode_is_the_core_on_the_syndrome_then_y_minus_e():
+    # _decode_syndrome takes no word; pgz and pgzm add only the corrected word
+    rng = random.Random(5)
+    for name in DEMO_NAMES:
+        C = demo_code(name)
+        K = C.base_field
+        for w in range(C.t + 2):
+            y = C.encode(Vec(K, [rng.randrange(K.q) for _ in range(C.k)])) \
+                + random_error_vector(K, C.n, w, rng)
+            for alg, decode in (("PGZ", pgz), ("PGZm", pgzm)):
+                rep, core = decode(y, C), _decode_syndrome(C.syndrome(y), C, alg)
+                assert core.corrected is None
+                assert dataclasses.replace(rep, corrected=None) == core
+                e = [0] * C.n
+                for m, v in zip(rep.positions, rep.values):
+                    e[m] = v.code
+                assert rep.corrected == (y - Vec(K, e) if rep.ok else None)
+
+
+def test_low_weight_errors_decode_from_their_own_columns():
+    # tests/low_weight.py runs the same check on bch255, bch511 and rs64
+    bch31, prs13 = demo_code("bch31"), demo_code("prs13")
+    assert exhaust(bch31, errors(bch31, (1, 2), 1)) == (31 + 465, [])
+    assert exhaust(prs13, errors(prs13, (1, 2), 3)) == (3 * (12 + 66), [])
+
+
 # -- no-error and failure paths -----------------------------------------------
 
 def test_no_error_path():
@@ -196,7 +225,7 @@ def test_no_error_path():
     rep2 = pgzm(c, C)
     assert rep2.status is Status.NO_ERROR
     assert rep2.message == "PGZm: Input is a code vector"
-    assert rep2.corrected == c
+    assert rep2.corrected is c  # the word itself, not a copy
 
 
 def _assert_partial_trace(rep, hankel, l, locator_poly, positions, locators):
