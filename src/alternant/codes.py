@@ -37,7 +37,7 @@ class AlternantCode:
     """
 
     def __init__(self, h: Vec, alpha: Vec, r: int, base_field: Field,
-                 kind: str = "AC", params: dict | None = None):
+                 kind: str = "AC", d_bound: int | None = None):
         if h.field != alpha.field:
             raise CodeError(
                 f"h is over {h.field.name} but alpha is over {alpha.field.name}")
@@ -67,7 +67,7 @@ class AlternantCode:
         self.base_field = base_field
         self.ext_field = F
         self.kind = kind
-        self.params = dict(params or {})
+        self._d_bound = d_bound  # a family's own bound, when above r + 1
         self.m = 1 if base_field == F else F.m
         self.t = r // 2
         mulc = F.mulc
@@ -94,7 +94,7 @@ class AlternantCode:
     @property
     def d_bound(self) -> int:
         """Guaranteed lower bound on the minimum distance, never above Singleton's n - k + 1."""
-        return min(self.params.get("d_bound", self.r + 1), self.n - self.k + 1)
+        return min(self._d_bound or self.r + 1, self.n - self.k + 1)
 
     @property
     def d_exact(self) -> int | None:
@@ -125,10 +125,11 @@ class AlternantCode:
     def syndrome(self, y, at=None) -> Vec:
         """y @ H^T for a received word y over K; with at (distinct positions), for the word
         holding the entries y at those positions and 0 elsewhere, from those columns of H."""
-        if at is None:
-            return Vec(self.ext_field, self._syndrome_map(self._coerce_word(y).codes))
         y = Vec.of(self.base_field, y)
-        if len(y) != len(at) or len(set(at)) < len(at) or min(at) < 0 or max(at) >= self.n:
+        if at is None:
+            if len(y) != self.n:
+                raise CodeError(f"vector length {len(y)} != n={self.n}")
+        elif len(y) != len(at) or len(set(at)) < len(at) or min(at) < 0 or max(at) >= self.n:
             raise CodeError(f"{len(y)} entries for positions {tuple(at)} in 0..{self.n - 1}")
         return Vec(self.ext_field, self._syndrome_map(y.codes, at))
 
@@ -143,21 +144,14 @@ class AlternantCode:
 
     def is_codeword(self, x) -> bool:
         try:
-            x = self._coerce_word(x)
-        except (CodeError, TypeError, ValueError):
+            return self.syndrome(x).is_zero
+        except (TypeError, ValueError):  # a CodeError is a ValueError
             return False
-        return self.syndrome(x).is_zero
-
-    def _coerce_word(self, y) -> Vec:
-        y = Vec.of(self.base_field, y)
-        if len(y) != self.n:
-            raise CodeError(f"vector length {len(y)} != n={self.n}")
-        return y
 
 
 # -- specializations ----------------------------------------------------------
 
-def rs(a: Vec, k: int, kind: str = "RS", params: dict | None = None) -> AlternantCode:
+def rs(a: Vec, k: int, kind: str = "RS") -> AlternantCode:
     """Reed-Solomon code on support a with dimension k.
 
     The multiplier h_i = 1 / prod_{j != i} (a_j - a_i) makes the rows of the
@@ -178,8 +172,7 @@ def rs(a: Vec, k: int, kind: str = "RS", params: dict | None = None) -> Alternan
                     raise CodeError(f"support entries {i} and {j} coincide")
                 prod = mulc(prod, d)
         h.append(invc(prod))
-    return AlternantCode(Vec(F, h), a, n - k, F, kind=kind,
-                         params={"k": k, **(params or {})})
+    return AlternantCode(Vec(F, h), a, n - k, F, kind=kind)
 
 
 def grs(h: Vec, a: Vec, k: int) -> AlternantCode:
@@ -187,7 +180,7 @@ def grs(h: Vec, a: Vec, k: int) -> AlternantCode:
     n = len(a)
     if not 1 <= k < n:
         raise CodeError(f"need 1 <= k < n={n}, got k={k}")
-    return AlternantCode(h, a, n - k, a.field, kind="GRS", params={"k": k})
+    return AlternantCode(h, a, n - k, a.field, kind="GRS")
 
 
 def prs(F: Field, k: int) -> AlternantCode:
@@ -201,11 +194,7 @@ def prs(F: Field, k: int) -> AlternantCode:
         raise CodeError(f"{F.name} is too small for a primitive RS code")
     if not 1 <= k < n:
         raise CodeError(f"need 1 <= k < q-1={n}, got k={k}")
-    g = F.first_primitive().code
-    codes = [1]
-    for _ in range(n - 1):
-        codes.append(F.mulc(codes[-1], g))
-    return rs(Vec(F, codes), k, kind="PRS", params={"k": k, "g": F.format_code(g)})
+    return rs(Vec(F, F.exp[:n]), k, kind="PRS")
 
 
 def bch(alpha: FieldElement, d: int, l: int = 1) -> AlternantCode:
@@ -231,8 +220,7 @@ def bch(alpha: FieldElement, d: int, l: int = 1) -> AlternantCode:
     ac = alpha.code
     avec = [powc(ac, i) for i in range(n)]
     h = [powc(ac, (i * l) % n) for i in range(n)]
-    return AlternantCode(Vec(F, h), Vec(F, avec), d - 1, F.prime_subfield(),
-                         kind="BCH", params={"alpha": F.format_code(ac), "d": d, "l": l})
+    return AlternantCode(Vec(F, h), Vec(F, avec), d - 1, F.prime_subfield(), kind="BCH")
 
 
 def goppa(g: Poly, a: Vec) -> AlternantCode:
@@ -253,10 +241,9 @@ def goppa(g: Poly, a: Vec) -> AlternantCode:
         if v == 0:
             raise CodeError(f"g vanishes at support entry {i} ({F.format_code(c)})")
         h.append(F.invc(v))
-    params: dict = {"g": str(g)}
+    d_bound = None
     if F.p == 2:
         gp = g.derivative()
         if not gp.is_zero and poly_gcd(g, gp).degree == 0:
-            params["d_bound"] = 2 * r + 1
-    return AlternantCode(Vec(F, h), a, r, F.prime_subfield(),
-                         kind="Goppa", params=params)
+            d_bound = 2 * r + 1
+    return AlternantCode(Vec(F, h), a, r, F.prime_subfield(), kind="Goppa", d_bound=d_bound)

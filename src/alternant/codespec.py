@@ -134,7 +134,7 @@ def code_from_dict(desc) -> AlternantCode:
     F = build_field(_need(desc, "field", "code description"))
 
     def vec(key):
-        return F.vec(_elements(F, _need(desc, key, kind), key))
+        return Vec.of(F, _elements(F, _need(desc, key, kind), key))
 
     def num(key):
         return _int(_need(desc, key, kind), key)

@@ -235,9 +235,7 @@ class Field:
         if isinstance(spec, bool):
             raise TypeError("booleans are not field elements")
         if isinstance(spec, int):
-            if self.m == 1:
-                return FieldElement(self, spec % self.p)
-            if -self.p < spec < self.p:
+            if self.m == 1 or -self.p < spec < self.p:
                 return FieldElement(self, spec % self.p)
             raise ValueError(
                 f"bare integer {spec} is ambiguous in {self.name}; "
@@ -287,15 +285,9 @@ class Field:
         if self.m == 1 or code < self.p:
             return str(code)
         if self.exp[1] == self.p:  # the generator is the exp base, so it is primitive
-            k = self.log_code(code)
+            k = self.log[code]
             return self.gen_label if k == 1 else f"{self.gen_label}**{k}"
         return "[" + ", ".join(str(c) for c in self.coords_code(code)) + "]"
-
-    def log_code(self, code: int) -> int:
-        """Discrete log of a nonzero code relative to the exp-table base."""
-        if code == 0:
-            raise ZeroDivisionError(f"zero has no discrete log in {self.name}")
-        return self.log[code]
 
     @property
     def gen(self) -> "FieldElement":
@@ -327,10 +319,6 @@ class Field:
         codes = tuple(self.element(c).code for c in coeffs)
         return Poly(self, codes)
 
-    def vec(self, items) -> "Vec":
-        from .linalg import Vec
-        return Vec.of(self, items)
-
     # -- dunder ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -356,11 +344,6 @@ class FieldElement:
     def __init__(self, field: Field, code: int):
         self.field = field
         self.code = code
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        """Coordinates over the prime subfield, constant coordinate first."""
-        return tuple(self.field.coords_code(self.code))
 
     @property
     def is_zero(self) -> bool:
@@ -623,10 +606,6 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            F = self.field
-            s = F.element(other).code
-            return Poly(F, (F.mulc(s, c) for c in self.codes))
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -47,11 +47,13 @@ class Vec:
 
     @classmethod
     def of(cls, field: Field, items) -> "Vec":
-        """Build from ints, element tokens, or FieldElements."""
+        """Build from ints, element tokens, or FieldElements; a string is not a vector."""
         if isinstance(items, Vec):
             if items.field != field:
                 raise TypeError(f"vector over {items.field.name}, expected {field.name}")
             return items
+        if isinstance(items, str):
+            raise TypeError(f"a string is not a vector over {field.name}")
         return cls(field, (field.element(v).code for v in items))
 
     def __len__(self):

@@ -16,7 +16,9 @@ pgz and pgzm run one pipeline and differ only in the value stage:
   5. The correction is checked against H: the error's own syndrome, summed
      over its l columns of H alone, must equal s, which holds exactly when
      y minus the error has syndrome zero, so a Corrected result is always a
-     genuine codeword within distance t of the input.
+     genuine codeword within distance t of the input.  It also rules out a
+     zero value: fewer than l errors give a Hankel matrix V_t D V_{t+1}^T of
+     rank below l, not the rank l found in step 2.
 
 Everything after computing s is _decode_syndrome(s, C, alg), which takes no
 word: _decode checks y, hands the core C.syndrome(y) and forms y minus the
@@ -242,8 +244,6 @@ def _decode_syndrome(s: Vec, C: AlternantCode, alg: str) -> DecodeReport:
     values = [pull(v, K) for v in ext_values]
     if any(v is None for v in values):
         return _fail(rep, FailureReason.VALUE_NOT_IN_BASE_FIELD)
-    if any(v.is_zero for v in values):
-        return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)
 
     if C.syndrome(Vec(K, [v.code for v in values]), at=positions) != s:
         return _fail(rep, FailureReason.MALFORMED_SYNDROME_STRUCTURE)

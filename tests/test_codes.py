@@ -14,7 +14,7 @@ from alternant.codes import AlternantCode, CodeError, bch, goppa, grs, prs, rs
 from alternant.demo import DEMO_NAMES, demo_code
 from alternant.galois import extension, prime_field
 from alternant.linalg import Mat, Vec, expand, gauss_jordan, null_space, rank, vandermonde
-from alternant.oracle import min_distance
+from alternant.oracle import brute_force_decode, min_distance
 
 Z2 = prime_field(2)
 Z7 = prime_field(7)
@@ -254,6 +254,16 @@ def test_is_codeword_rejects_garbage():
     assert not C.is_codeword([1] + [0] * 11)
     assert not C.is_codeword([0] * 5)
     assert C.is_codeword([0] * 12)
+
+
+def test_a_string_is_not_a_word():
+    # read one element token per character, "0" * 12 would be the zero codeword
+    C = demo_code("prs13")
+    assert not C.is_codeword("0" * 12)
+    for call in (lambda: Vec.of(Z13, "123"), lambda: C.syndrome("0" * 12),
+                 lambda: C.encode("12345678"), lambda: brute_force_decode(C, "0" * 12, 1)):
+        with pytest.raises(TypeError, match="a string is not a vector over Z13"):
+            call()
 
 
 # -- construction errors ------------------------------------------------------

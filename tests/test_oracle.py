@@ -65,7 +65,7 @@ def test_brute_force_zero_syndrome():
 def test_brute_force_ambiguous():
     # [6, 3, 4] code containing the weight-4 word (6, 3, 1, 0, 0, 1):
     # the received word below is distance 2 from two different codewords
-    C = rs(Z7.vec([1, 2, 3, 4, 5, 6]), 3)
+    C = rs(Vec.of(Z7, [1, 2, 3, 4, 5, 6]), 3)
     w4 = Vec(Z7, (6, 3, 1, 0, 0, 1))
     assert C.is_codeword(w4) and w4.weight() == 4
     y = Vec(Z7, (6, 3, 0, 0, 0, 0))
